@@ -2,14 +2,44 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 namespace cam::session {
 
-GroupTree::GroupTree(GroupId id, Id source) : id_(id), source_(source) {
+GroupTree::GroupTree(GroupId id, Id source)
+    : id_(id), source_(source), sorted_{source}, by_depth_{source},
+      depth_start_{0, 1} {
   Member m;
   m.parent = source;
   m.depth = 0;
   members_.try_emplace(source, std::move(m));
+}
+
+void GroupTree::file_by_depth(Id node, int depth) {
+  const auto d = static_cast<std::size_t>(depth);
+  if (depth_start_.size() < d + 2) {
+    depth_start_.resize(d + 2, by_depth_.size());
+  }
+  by_depth_.insert(std::lower_bound(by_depth_.begin() + depth_start_[d],
+                                    by_depth_.begin() + depth_start_[d + 1],
+                                    node),
+                   node);
+  for (std::size_t k = d + 1; k < depth_start_.size(); ++k) ++depth_start_[k];
+}
+
+void GroupTree::unfile_by_depth(Id node, int depth) {
+  const auto d = static_cast<std::size_t>(depth);
+  const auto last = by_depth_.begin() + depth_start_[d + 1];
+  const auto it =
+      std::lower_bound(by_depth_.begin() + depth_start_[d], last, node);
+  assert(it != last && *it == node && "member missing from depth index");
+  by_depth_.erase(it);
+  for (std::size_t k = d + 1; k < depth_start_.size(); ++k) --depth_start_[k];
+  // Drop emptied deepest runs; depth 0 always holds the source.
+  while (depth_start_.size() > 2 &&
+         depth_start_.back() == depth_start_[depth_start_.size() - 2]) {
+    depth_start_.pop_back();
+  }
 }
 
 void GroupTree::add(Id node, Id parent) {
@@ -19,10 +49,14 @@ void GroupTree::add(Id node, Id parent) {
   Member m;
   m.parent = parent;
   m.depth = pit->second.depth + 1;
+  const int depth = m.depth;
   members_.try_emplace(node, std::move(m));
   // members_.find may have been invalidated by the insert above.
   std::vector<Id>& kids = members_.at(parent).children;
   kids.insert(std::upper_bound(kids.begin(), kids.end(), node), node);
+  sorted_.insert(std::lower_bound(sorted_.begin(), sorted_.end(), node),
+                 node);
+  file_by_depth(node, depth);
 }
 
 void GroupTree::erase_leaf(Id node) {
@@ -31,9 +65,11 @@ void GroupTree::erase_leaf(Id node) {
   assert(it->second.children.empty() && "erase of an interior member");
   assert(node != source_ && "the source leaves by destroying the group");
   const Id parent = it->second.parent;
+  unfile_by_depth(node, it->second.depth);
   std::vector<Id>& kids = members_.at(parent).children;
   kids.erase(std::find(kids.begin(), kids.end(), node));
   members_.erase(node);
+  sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(), node));
 }
 
 void GroupTree::set_parent(Id node, Id new_parent) {
@@ -47,15 +83,16 @@ void GroupTree::set_parent(Id node, Id new_parent) {
   new_kids.insert(std::upper_bound(new_kids.begin(), new_kids.end(), node),
                   node);
   members_.at(node).parent = new_parent;
-  // Recompute depths down the moved subtree (BFS).
-  members_.at(node).depth = members_.at(new_parent).depth + 1;
-  std::vector<Id> frontier{node};
-  for (std::size_t i = 0; i < frontier.size(); ++i) {
-    const Member& p = members_.at(frontier[i]);
-    for (Id c : p.children) {
-      members_.at(c).depth = p.depth + 1;
-      frontier.push_back(c);
-    }
+  // The whole subtree moves by the same number of levels; re-file each
+  // moved member under its new depth.
+  const int shift =
+      members_.at(new_parent).depth + 1 - members_.at(node).depth;
+  if (shift == 0) return;
+  for (Id x : subtree(node)) {
+    int& depth = members_.at(x).depth;
+    unfile_by_depth(x, depth);
+    depth += shift;
+    file_by_depth(x, depth);
   }
 }
 
@@ -65,22 +102,6 @@ std::vector<Id> GroupTree::subtree(Id node) const {
     const Member& m = members_.at(out[i]);
     out.insert(out.end(), m.children.begin(), m.children.end());
   }
-  return out;
-}
-
-std::vector<Id> GroupTree::sorted_members() const {
-  std::vector<Id> out;
-  out.reserve(members_.size());
-  for (const auto& [id, m] : members_) out.push_back(id);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<Id> GroupTree::members_by_depth() const {
-  std::vector<Id> out = sorted_members();
-  std::stable_sort(out.begin(), out.end(), [&](Id a, Id b) {
-    return members_.at(a).depth < members_.at(b).depth;
-  });
   return out;
 }
 
@@ -154,6 +175,28 @@ std::vector<std::string> GroupTree::check(
   if (subtree(source_).size() != members_.size()) {
     flag(source_, "tree is not fully reachable from the source");
   }
+  // Both member indexes list every member exactly once, in order.
+  const auto is_member = [&](Id m) { return members_.contains(m); };
+  if (sorted_.size() != members_.size() ||
+      std::adjacent_find(sorted_.begin(), sorted_.end(),
+                         std::greater_equal<>()) != sorted_.end() ||
+      !std::all_of(sorted_.begin(), sorted_.end(), is_member)) {
+    flag(source_, "ascending member index out of date");
+  }
+  bool by_depth_ok = by_depth_.size() == members_.size() &&
+                     depth_start_.size() >= 2 && depth_start_[0] == 0 &&
+                     depth_start_.back() == by_depth_.size() &&
+                     std::is_sorted(depth_start_.begin(), depth_start_.end());
+  for (std::size_t d = 0; by_depth_ok && d + 1 < depth_start_.size(); ++d) {
+    for (std::size_t i = depth_start_[d];
+         by_depth_ok && i < depth_start_[d + 1]; ++i) {
+      auto it = members_.find(by_depth_[i]);
+      by_depth_ok = it != members_.end() &&
+                    it->second.depth == static_cast<int>(d) &&
+                    (i == depth_start_[d] || by_depth_[i - 1] < by_depth_[i]);
+    }
+  }
+  if (!by_depth_ok) flag(source_, "depth-ordered member index out of date");
   return issues;
 }
 

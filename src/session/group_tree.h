@@ -55,26 +55,39 @@ class GroupTree {
   /// `node`'s subtree in BFS order (node first, children ascending).
   std::vector<Id> subtree(Id node) const;
 
-  /// All member ids, ascending.
-  std::vector<Id> sorted_members() const;
+  /// All member ids, ascending. Kept current by add / erase_leaf, so
+  /// reading it costs nothing; the reference is invalidated by the next
+  /// edit of the tree.
+  const std::vector<Id>& sorted_members() const { return sorted_; }
 
   /// Members ordered by (depth asc, id asc) — the fallback candidate
-  /// order for join placement: shallow spots first, deterministic.
-  std::vector<Id> members_by_depth() const;
+  /// order for join placement: shallow spots first, deterministic. Kept
+  /// current by every edit (a re-hang re-files the moved subtree); the
+  /// reference is invalidated by the next edit of the tree.
+  const std::vector<Id>& members_by_depth() const { return by_depth_; }
 
   /// Recorded-tree view for the dissemination layers (delivery times 0).
   MulticastTree to_multicast_tree() const;
 
   /// Structural + ledger consistency, one line per defect ("" = none):
   /// parent membership and back-links, depth arithmetic, acyclicity,
-  /// full reachability from the source, and per-member fanout equal to
-  /// the ledger's debits for this group.
+  /// full reachability from the source, both member indexes agreeing
+  /// with the member table, and per-member fanout equal to the ledger's
+  /// debits for this group.
   std::vector<std::string> check(const CapacityLedger& ledger) const;
 
  private:
+  /// Inserts / removes `node` in its depth's run of by_depth_.
+  void file_by_depth(Id node, int depth);
+  void unfile_by_depth(Id node, int depth);
+
   GroupId id_;
   Id source_;
   FlatMap<Id, Member> members_;
+  std::vector<Id> sorted_;    // member ids, ascending
+  std::vector<Id> by_depth_;  // member ids, (depth asc, id asc)
+  // Depth d's members are by_depth_[depth_start_[d], depth_start_[d + 1]).
+  std::vector<std::size_t> depth_start_;
 };
 
 }  // namespace cam::session

@@ -9,10 +9,13 @@ CapacityLedger::CapacityLedger(const FrozenDirectory& dir)
       used_(dir.size(), 0),
       by_group_(dir.size()),
       reserved_(dir.size(), 0),
-      reserved_by_group_(dir.size()) {}
+      reserved_by_group_(dir.size()) {
+  rows_.reserve(dir.size());
+  for (Id id : dir.ids()) rows_.insert(id);
+}
 
 bool CapacityLedger::debit(Id node, GroupId g) {
-  const std::size_t idx = dir_->index_of(node);
+  const std::size_t idx = row(node);
   if (used_[idx] >= dir_->info_at(idx).capacity) return false;
   ++used_[idx];
   ++by_group_[idx][g];
@@ -21,7 +24,7 @@ bool CapacityLedger::debit(Id node, GroupId g) {
 
 void CapacityLedger::credit(Id node, GroupId g, std::uint32_t count) {
   if (count == 0) return;
-  const std::size_t idx = dir_->index_of(node);
+  const std::size_t idx = row(node);
   auto it = by_group_[idx].find(g);
   assert(it != by_group_[idx].end() && it->second >= count &&
          "credit exceeds the group's debits at this node");
@@ -32,25 +35,30 @@ void CapacityLedger::credit(Id node, GroupId g, std::uint32_t count) {
 }
 
 std::uint32_t CapacityLedger::capacity(Id node) const {
-  return dir_->info(node).capacity;
+  return info(node).capacity;
 }
 
 std::uint32_t CapacityLedger::used(Id node) const {
-  return used_[dir_->index_of(node)];
+  return used_[row(node)];
 }
 
 std::uint32_t CapacityLedger::used(Id node, GroupId g) const {
-  const auto& groups = by_group_[dir_->index_of(node)];
+  const auto& groups = by_group_[row(node)];
   auto it = groups.find(g);
   return it == groups.end() ? 0 : it->second;
 }
 
+std::uint32_t CapacityLedger::available(Id node) const {
+  const std::size_t idx = row(node);
+  return dir_->info_at(idx).capacity - used_[idx];
+}
+
 double CapacityLedger::uplink_kbps(Id node) const {
-  return dir_->info(node).bandwidth_kbps;
+  return info(node).bandwidth_kbps;
 }
 
 double CapacityLedger::share_kbps(Id node, GroupId g) const {
-  const std::size_t idx = dir_->index_of(node);
+  const std::size_t idx = row(node);
   const std::uint32_t mine = used(node, g);
   if (mine == 0) return 0;
   const double b = dir_->info_at(idx).bandwidth_kbps;
@@ -73,13 +81,13 @@ double CapacityLedger::max_utilization() const {
 }
 
 void CapacityLedger::reserve(Id node, GroupId g) {
-  const std::size_t idx = dir_->index_of(node);
+  const std::size_t idx = row(node);
   ++reserved_[idx];
   ++reserved_by_group_[idx][g];
 }
 
 void CapacityLedger::unreserve(Id node, GroupId g) {
-  const std::size_t idx = dir_->index_of(node);
+  const std::size_t idx = row(node);
   auto it = reserved_by_group_[idx].find(g);
   assert(it != reserved_by_group_[idx].end() && it->second > 0 &&
          "unreserve without a matching reservation");
@@ -90,17 +98,17 @@ void CapacityLedger::unreserve(Id node, GroupId g) {
 }
 
 std::uint32_t CapacityLedger::reserved(Id node) const {
-  return reserved_[dir_->index_of(node)];
+  return reserved_[row(node)];
 }
 
 std::uint32_t CapacityLedger::reserved(Id node, GroupId g) const {
-  const auto& groups = reserved_by_group_[dir_->index_of(node)];
+  const auto& groups = reserved_by_group_[row(node)];
   auto it = groups.find(g);
   return it == groups.end() ? 0 : it->second;
 }
 
 std::uint32_t CapacityLedger::unreserved_headroom(Id node) const {
-  const std::size_t idx = dir_->index_of(node);
+  const std::size_t idx = row(node);
   const std::uint32_t cap = dir_->info_at(idx).capacity;
   const std::uint32_t committed = used_[idx] + reserved_[idx];
   return committed >= cap ? 0 : cap - committed;

@@ -22,7 +22,7 @@ MultiGroupForwarder::MultiGroupForwarder(const SessionLayer& session,
   // (the same indexing rule as the single-tree forwarder).
   for (GroupId gid : gids) {
     const GroupTree* tree = session.group(gid);
-    const std::vector<Id> members = tree->sorted_members();
+    const std::vector<Id>& members = tree->sorted_members();
     ids_.insert(ids_.end(), members.begin(), members.end());
   }
   std::sort(ids_.begin(), ids_.end());
@@ -70,7 +70,7 @@ MultiGroupForwarder::MultiGroupForwarder(const SessionLayer& session,
     const GroupTree* tree = session.group(gid);
     Group g;
     g.id = gid;
-    const std::vector<Id> members = tree->sorted_members();
+    const std::vector<Id>& members = tree->sorted_members();
     g.members.resize(members.size());
     g.slot_of.reserve(members.size());
     for (std::size_t s = 0; s < members.size(); ++s) {

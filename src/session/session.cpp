@@ -37,9 +37,22 @@ SessionLayer::SessionLayer(const FrozenDirectory& dir,
                            const strategy::MulticastStrategy& strat)
     : dir_(&dir), strategy_(&strat), ledger_(dir) {}
 
+void SessionLayer::enlist(Id node, GroupId g) {
+  std::vector<GroupId>& gs = groups_of_[node];
+  gs.insert(std::lower_bound(gs.begin(), gs.end(), g), g);
+}
+
+void SessionLayer::delist(Id node, GroupId g) {
+  std::vector<GroupId>& gs = groups_of_.at(node);
+  const auto it = std::lower_bound(gs.begin(), gs.end(), g);
+  assert(it != gs.end() && *it == g && "node is not listed in the group");
+  gs.erase(it);
+}
+
 bool SessionLayer::create_group(GroupId g, Id source) {
   if (!dir_->contains(source) || groups_.contains(g)) return false;
   groups_.try_emplace(g, std::make_unique<GroupTree>(g, source));
+  enlist(source, g);
   ++counters_.groups_created;
   return true;
 }
@@ -51,6 +64,7 @@ bool SessionLayer::destroy_group(GroupId g) {
   for (Id m : tree.sorted_members()) {
     ledger_.credit(m, g,
                    static_cast<std::uint32_t>(tree.member(m).children.size()));
+    delist(m, g);
   }
   // Standby reservations and parked subtrees die with the group; parked
   // members never got re-attached, so they count as dropped.
@@ -63,6 +77,7 @@ bool SessionLayer::destroy_group(GroupId g) {
   if (auto pk = parked_.find(g); pk != parked_.end()) {
     for (const ParkedSubtree& ps : pk->second) {
       counters_.dropped_members += ps.shape.size();
+      for (const auto& [m, p] : ps.shape) delist(m, g);
     }
     parked_.erase(g);
   }
@@ -72,13 +87,12 @@ bool SessionLayer::destroy_group(GroupId g) {
 }
 
 Id SessionLayer::place(const GroupTree& tree, Id node,
-                       const std::vector<Id>& exclude,
-                       std::size_t* hops, Id* standby_out) const {
-  std::vector<Id> banned = exclude;
-  std::sort(banned.begin(), banned.end());
+                       std::vector<Id> exclude, std::size_t* hops,
+                       Id* standby_out) const {
+  std::sort(exclude.begin(), exclude.end());
   auto feasible = [&](Id c) {
     return c != node &&
-           !std::binary_search(banned.begin(), banned.end(), c) &&
+           !std::binary_search(exclude.begin(), exclude.end(), c) &&
            ledger_.available(c) > 0;
   };
 
@@ -110,11 +124,15 @@ Id SessionLayer::place(const GroupTree& tree, Id node,
   // joiner had the chosen parent been full.
   bool done = false;
   if (tree.size() > 1 && strategy_->supports_lookup()) {
-    NodeDirectory members(dir_->ring());
-    for (Id m : tree.sorted_members()) members.add(m, dir_->info(m));
-    const FrozenDirectory snapshot = members.freeze();
+    // The member overlay is read straight off the tree's ascending
+    // member index; the ledger supplies each member's c_x and B_x.
+    const std::vector<Id>& ids = tree.sorted_members();
+    std::vector<NodeInfo> info;
+    info.reserve(ids.size());
+    for (Id m : ids) info.push_back(ledger_.info(m));
+    const FrozenDirectory members(dir_->ring(), ids, std::move(info));
     const LookupResult lr =
-        strategy_->lookup(snapshot, tree.source(), node, {});
+        strategy_->lookup(members, tree.source(), node, {});
     if (hops != nullptr) *hops = lr.ok ? lr.hops() : 0;
     if (lr.ok) {
       for (auto it = lr.path.rbegin(); it != lr.path.rend() && !done;
@@ -218,6 +236,7 @@ JoinResult SessionLayer::join(GroupId g, Id node) {
   assert(ok && "place() returned a parent without slack");
   (void)ok;
   tree.add(node, parent);
+  enlist(node, g);
   if (policy_.standby) set_standby(g, node, standby);
   r.outcome = JoinOutcome::kJoined;
   r.parent = parent;
@@ -272,7 +291,7 @@ void SessionLayer::remove_member(GroupTree& tree, Id node, bool failure) {
       exclude.push_back(node);
       Id standby = kNoParent;
       std::size_t hops = 0;
-      const Id adopter = place(tree, c, exclude, &hops,
+      const Id adopter = place(tree, c, std::move(exclude), &hops,
                                policy_.standby ? &standby : nullptr);
       if (adopter != kNoParent) {
         const bool ok = ledger_.debit(adopter, g);
@@ -302,6 +321,7 @@ void SessionLayer::remove_member(GroupTree& tree, Id node, bool failure) {
               static_cast<std::uint32_t>(tree.member(m).children.size()));
           clear_standby(g, m);
           clear_standbys_targeting(g, m);
+          delist(m, g);
         }
         for (auto it = sub.rbegin(); it != sub.rend(); ++it) {
           tree.erase_leaf(*it);
@@ -316,6 +336,7 @@ void SessionLayer::remove_member(GroupTree& tree, Id node, bool failure) {
     }
   }
   tree.erase_leaf(node);
+  delist(node, g);
 }
 
 void SessionLayer::park_subtree(GroupTree& tree, Id child) {
@@ -418,6 +439,7 @@ void SessionLayer::try_readmit() {
 void SessionLayer::remove_parked_member(GroupId g, Id node) {
   auto it = parked_.find(g);
   assert(it != parked_.end());
+  delist(node, g);
   auto& list = it->second;
   for (std::size_t si = 0; si < list.size(); ++si) {
     ParkedSubtree& ps = list[si];
@@ -500,18 +522,21 @@ bool SessionLayer::leave(GroupId g, Id node) {
 }
 
 void SessionLayer::fail_node(Id node) {
-  for (GroupId g : group_ids()) {
+  // Only the node's own groups change, still in ascending group id: a
+  // group's surgery touches no other group's membership. The list is
+  // copied because the surgery delists the node as it goes.
+  auto it = groups_of_.find(node);
+  const std::vector<GroupId> gids =
+      it == groups_of_.end() ? std::vector<GroupId>{} : it->second;
+  for (GroupId g : gids) {
+    ++counters_.failures;
     GroupTree& tree = *groups_.at(g);
-    if (tree.contains(node)) {
-      ++counters_.failures;
-      if (node == tree.source()) {
-        destroy_group(g);
-      } else {
-        remove_member(tree, node, /*failure=*/true);
-      }
-    } else if (is_parked(g, node)) {
-      ++counters_.failures;
+    if (!tree.contains(node)) {
       remove_parked_member(g, node);
+    } else if (node == tree.source()) {
+      destroy_group(g);
+    } else {
+      remove_member(tree, node, /*failure=*/true);
     }
   }
   try_readmit();
@@ -656,6 +681,30 @@ std::vector<std::string> SessionLayer::check() const {
                            " is both parked and in the tree");
         }
       }
+    }
+  }
+  // The membership index lists, per node, exactly the groups whose tree
+  // or park list holds it.
+  FlatMap<Id, std::vector<GroupId>> expected_groups;
+  for (GroupId g : group_ids()) {
+    for (Id m : groups_.at(g)->sorted_members()) {
+      expected_groups[m].push_back(g);
+    }
+    if (auto pk = parked_.find(g); pk != parked_.end()) {
+      for (const ParkedSubtree& ps : pk->second) {
+        for (const auto& [m, p] : ps.shape) expected_groups[m].push_back(g);
+      }
+    }
+  }
+  const std::vector<GroupId> none;
+  for (Id id : dir_->ids()) {
+    auto want = expected_groups.find(id);
+    auto have = groups_of_.find(id);
+    if ((want == expected_groups.end() ? none : want->second) !=
+        (have == groups_of_.end() ? none : have->second)) {
+      issues.push_back("node " + std::to_string(id) +
+                       ": membership index disagrees with the trees and "
+                       "park lists");
     }
   }
   return issues;

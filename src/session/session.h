@@ -20,8 +20,8 @@
 // placement routine (the orphan's own subtree is excluded so re-hanging
 // cannot form a cycle); a subtree with no feasible parent anywhere is
 // dropped from the group and counted. Everything is deterministic:
-// member scans are sorted, lookups are pure functions of the member
-// snapshot, and no RNG is consulted.
+// member scans walk each tree's ordered member indexes, lookups are pure
+// functions of the member set, and no RNG is consulted.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +67,8 @@ struct SessionCounters {
   std::uint64_t joins_ok = 0;
   std::uint64_t joins_rejected = 0;  // kNoCapacity only
   std::uint64_t leaves = 0;
-  std::uint64_t failures = 0;        // fail_node() calls that hit a group
+  std::uint64_t failures = 0;        // per fail_node(): groups the node was
+                                     // in or parked in
   std::uint64_t reparented = 0;      // orphan subtree roots re-hung (total)
   std::uint64_t dropped_members = 0; // members lost with their subtree
   // ISSUE 8 satellite: failover metrics are not conflated with routine
@@ -200,9 +201,8 @@ class SessionLayer {
   /// same join-time path (preferring nodes with unreserved headroom) —
   /// the member's standby parent. Passing nullptr leaves the search
   /// behavior exactly as before ISSUE 8.
-  Id place(const GroupTree& tree, Id node,
-           const std::vector<Id>& exclude, std::size_t* hops,
-           Id* standby_out = nullptr) const;
+  Id place(const GroupTree& tree, Id node, std::vector<Id> exclude,
+           std::size_t* hops, Id* standby_out = nullptr) const;
 
   /// Removes `node` from one group: credits its uplink edge, then
   /// re-hangs (standby first on failure), parks, or drops each orphaned
@@ -237,6 +237,10 @@ class SessionLayer {
   /// Splices a leaving/failing member out of a parked shape.
   void remove_parked_member(GroupId g, Id node);
 
+  /// Records / forgets that `node` belongs to `g`, attached or parked.
+  void enlist(Id node, GroupId g);
+  void delist(Id node, GroupId g);
+
   const FrozenDirectory* dir_;
   const strategy::MulticastStrategy* strategy_;
   CapacityLedger ledger_;
@@ -245,6 +249,9 @@ class SessionLayer {
   FailoverPolicy policy_;
   FlatMap<GroupId, FlatMap<Id, Id>> standby_;  // group -> member -> standby
   FlatMap<GroupId, std::vector<ParkedSubtree>> parked_;  // FIFO per group
+  // node -> groups it is attached to or parked in, ascending; scopes
+  // fail_node() to the node's own groups.
+  FlatMap<Id, std::vector<GroupId>> groups_of_;
   std::vector<ReattachRecord> failover_log_;
 };
 

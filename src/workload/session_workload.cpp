@@ -182,7 +182,6 @@ std::optional<WorkloadPlan> WorkloadPlan::parse(const std::string& text,
       const std::string key = tok[i].substr(0, eq);
       const std::string val = tok[i].substr(eq + 1);
       std::uint64_t u = 0;
-      double d = 0;
       if (key == "n") {
         if (!parse_u64(val, u) || u == 0 || u > 10'000'000) {
           return fail(lineno, "bad count '" + val + "'");

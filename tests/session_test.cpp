@@ -5,9 +5,11 @@
 // legacy src/stream schedule bit for bit (in BOTH service disciplines;
 // a sole ledger debtor owns the full uplink), pinned field-for-field
 // against stream_over_tree() and against a committed golden.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "session/session.h"
 #include "strategy/strategy.h"
 #include "stream/streaming.h"
+#include "util/rng.h"
 #include "workload/population.h"
 
 namespace cam {
@@ -120,6 +123,111 @@ TEST(GroupTree, EditsKeepStructureAndLedgerConsistent) {
   EXPECT_FALSE(tree.check(ledger).empty());
   ASSERT_TRUE(ledger.debit(ids[2], 1));
   EXPECT_TRUE(tree.check(ledger).empty());
+}
+
+// Reference for GroupTree's incremental member indexes: the member set
+// and parent links kept apart from the tree, and the collect +
+// std::sort + std::stable_sort the tree used to run on every call.
+struct TreeModel {
+  std::map<Id, Id> parent;  // member -> parent; the source maps to itself
+
+  int depth(Id m) const {
+    int d = 0;
+    for (Id p = parent.at(m); p != m; m = p, p = parent.at(m)) ++d;
+    return d;
+  }
+  bool in_subtree(Id n, Id anc) const {
+    for (;; n = parent.at(n)) {
+      if (n == anc) return true;
+      if (parent.at(n) == n) return false;
+    }
+  }
+  bool is_leaf(Id m) const {
+    for (const auto& [c, p] : parent) {
+      if (p == m && c != m) return false;
+    }
+    return true;
+  }
+  std::vector<Id> sorted_members() const {
+    std::vector<Id> out;
+    for (const auto& [m, p] : parent) out.push_back(m);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  std::vector<Id> members_by_depth() const {
+    std::vector<Id> out = sorted_members();
+    std::stable_sort(out.begin(), out.end(),
+                     [&](Id a, Id b) { return depth(a) < depth(b); });
+    return out;
+  }
+};
+
+TEST(GroupTree, IndexesMatchSortReferenceUnderRandomEdits) {
+  // Capacity 64 everywhere: the ledger never refuses, so every edit the
+  // walk picks is applied and check() can cross-examine the indexes.
+  const FrozenDirectory dir = small_world(64, 9, 64, 64);
+  const std::vector<Id>& ids = dir.ids();
+  std::size_t deep_rehangs = 0;  // re-hangs moving children to a new depth
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    CapacityLedger ledger(dir);
+    GroupTree tree(1, ids[0]);
+    TreeModel model;
+    model.parent[ids[0]] = ids[0];
+    auto pick = [&](const std::vector<Id>& from) {
+      return from[rng.next_below(from.size())];
+    };
+    for (int step = 0; step < 300; ++step) {
+      const std::vector<Id> members = model.sorted_members();
+      std::vector<Id> outside, leaves, movable;
+      for (Id x : ids) {
+        if (!model.parent.contains(x)) outside.push_back(x);
+      }
+      for (Id m : members) {
+        if (m == ids[0]) continue;
+        movable.push_back(m);
+        if (model.is_leaf(m)) leaves.push_back(m);
+      }
+      const std::uint64_t op = rng.next_below(3);
+      if ((op == 0 || movable.empty()) && !outside.empty()) {
+        const Id node = pick(outside);
+        const Id parent = pick(members);
+        ASSERT_TRUE(ledger.debit(parent, 1));
+        tree.add(node, parent);
+        model.parent[node] = parent;
+      } else if (op == 1 && !leaves.empty()) {
+        const Id node = pick(leaves);
+        ledger.credit(model.parent.at(node), 1);
+        tree.erase_leaf(node);
+        model.parent.erase(node);
+      } else if (!movable.empty()) {
+        const Id node = pick(movable);
+        std::vector<Id> targets;
+        for (Id m : members) {
+          if (!model.in_subtree(m, node)) targets.push_back(m);
+        }
+        const Id parent = pick(targets);
+        if (!model.is_leaf(node) &&
+            model.depth(parent) + 1 != model.depth(node)) {
+          ++deep_rehangs;
+        }
+        ledger.credit(model.parent.at(node), 1);
+        ASSERT_TRUE(ledger.debit(parent, 1));
+        tree.set_parent(node, parent);
+        model.parent[node] = parent;
+      }
+      ASSERT_EQ(tree.sorted_members(), model.sorted_members())
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(tree.members_by_depth(), model.members_by_depth())
+          << "seed " << seed << " step " << step;
+      for (Id m : tree.sorted_members()) {
+        ASSERT_EQ(tree.member(m).depth, model.depth(m));
+      }
+      const std::vector<std::string> defects = tree.check(ledger);
+      ASSERT_TRUE(defects.empty()) << defects.front();
+    }
+  }
+  EXPECT_GT(deep_rehangs, 0u);
 }
 
 // --- SessionLayer --------------------------------------------------------
