@@ -10,10 +10,10 @@
 
 #include "camchord/oracle.h"
 #include "camkoorde/oracle.h"
+#include "dataplane/forwarder.h"
 #include "experiments/figures.h"
 #include "experiments/table.h"
 #include "multicast/metrics.h"
-#include "stream/streaming.h"
 #include "workload/population.h"
 
 int main(int argc, char** argv) {
@@ -27,8 +27,10 @@ int main(int argc, char** argv) {
            "first_pkt_ms", "complete_ms"});
 
   ConstantLatency lat(10.0);
-  StreamConfig cfg;
-  cfg.num_packets = 48;
+  dataplane::TrafficSpec traffic;
+  traffic.num_packets = 48;
+  dataplane::ForwarderConfig fifo;
+  fifo.backpressure = false;  // the paper's Section 4.3 FIFO uplinks
 
   for (double p : {25.0, 50.0, 100.0}) {
     workload::PopulationSpec spec;
@@ -52,7 +54,9 @@ int main(int argc, char** argv) {
     };
     for (const Case& c : cases) {
       double analytic = tree_throughput_kbps(c.tree, bw);
-      StreamResult r = stream_over_tree(c.tree, bw, lat, cfg);
+      dataplane::BackpressureForwarder fwd(c.tree, lat, fifo);
+      fwd.resolve_uplinks(bw);
+      const dataplane::SessionStats r = fwd.run(traffic).session;
       t.add_row({c.name, fmt(p, 0), fmt(analytic, 1),
                  fmt(r.session_rate_kbps, 1), fmt(r.max_first_packet_ms, 0),
                  fmt(r.completion_ms, 0)});

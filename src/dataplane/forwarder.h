@@ -1,39 +1,40 @@
-// Backpressure packet forwarding over a recorded multicast tree.
+// The packet forwarder: one event loop for one multicast group or many.
 //
 // The paper's throughput model (Section 4.3) serializes every copy a
-// node forwards through one FIFO uplink; src/stream reproduced exactly
-// that. This forwarder generalizes it into a real packet data plane in
-// the IRON/GNAT mold (DESIGN.md §11):
+// node forwards through one FIFO uplink. Forwarder runs that plane for
+// any number of groups over shared per-link queues, in the IRON/GNAT
+// mold (DESIGN.md §11):
 //
-//   * every node keeps one BinQueue per child link (bins keyed by
-//     stream) plus a relay queue for duties delegated to it;
-//   * the uplink transmitter serves the global-FIFO head by default and
-//     deviates to the steepest positive depth gradient — local link
-//     backlog minus the child's advertised uplink backlog — only when
-//     the gradient advantage exceeds a hysteresis, so with shallow
-//     queues the legacy FIFO schedule is reproduced bit for bit;
-//   * a congested node sheds forwarding duty: when its backlog crosses
-//     the delegation threshold, copies whose destination some other
-//     child (which already holds the packet) can serve more cheaply are
-//     delegated there with a control token instead of being transmitted
-//     — multicast traffic steers around the congested uplink;
-//   * children advertise their uplink backlog to their parent on a
-//     periodic depth report; between reports the parent corrects its
-//     view by the bytes it has delegated since (depth-gradient
-//     accounting);
-//   * source-side admission control: a node whose backlog crosses the
-//     high watermark raises a congestion flag that propagates up the
-//     tree; while the source's subtree flag is up, emission pauses, and
-//     it resumes when the backlog drains below the low watermark;
-//   * latency-constrained mode: a copy older than `deadline_ms` at
-//     service time is not transmitted — it is dropped as a *zombie*
-//     (IRON's term for expired-but-accounted packets) and counted in
-//     the dataplane.zombie.* series instead of queueing forever.
+//   * every node keeps one BinQueue per child link, with one bin per
+//     group, so two groups that share an edge contend in one queue; a
+//     one-group plane also keeps a relay queue for delegated duties;
+//   * kShared: one transmitter per node serves the global-FIFO head
+//     across every group's bins at the full uplink rate B_x — the paper's
+//     single FIFO uplink. With one group (BackpressureForwarder) this
+//     transmitter can also deviate to the steepest positive depth
+//     gradient (local link backlog minus the child's advertised uplink
+//     backlog) past a hysteresis, shed duty to a child that already
+//     holds the packet, and drop copies older than `deadline_ms` as
+//     zombies; children advertise their uplink backlog to their parent
+//     on a periodic depth report, through an oracle event or through
+//     DepthFeedHooks;
+//   * kLedgerShares: one transmitter per (node, group) serving only that
+//     group's bins at the group's ledger share of B_x, so a group's
+//     schedule depends only on its own traffic and share;
+//   * per-group source admission: a member whose backlog for its group
+//     crosses the high watermark raises a congestion flag up that
+//     group's tree; while the source's subtree flag is up, only that
+//     group's emission pauses, resuming below the low watermark;
+//   * FailoverScript surgery: crashes flush a node's queues, prunes stop
+//     a parent forwarding to a dead child, and reattaches re-hang an
+//     orphan and backfill its delivery-bitmap gap from the new parent.
 //
-// With `backpressure = false` (or, equivalently, thresholds no queue
-// ever crosses) the forwarder IS the legacy FIFO plane: the same packet
-// arrival times to the last bit, which tests/dataplane_test.cpp pins by
-// comparing whole result structs.
+// BackpressureForwarder is the one-tree way to build the plane;
+// session::MultiGroupForwarder builds it from a SessionLayer's group
+// trees and ledger shares. With `backpressure = false` (or thresholds no
+// queue ever crosses) a one-tree plane is the paper's FIFO plane: the
+// same packet arrival times to the last bit, which
+// tests/dataplane_test.cpp pins by comparing whole result structs.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +47,14 @@
 #include "multicast/tree.h"
 #include "sim/latency.h"
 #include "telemetry/sink.h"
+#include "util/flat_table.h"
 
 namespace cam::dataplane {
 
-/// The packet stream a run pushes through the tree. (src/stream aliases
-/// this as cam::StreamConfig — the legacy API is a view of the data
-/// plane.)
+/// Group (stream) id: the key of a BinQueue bin and Packet::stream.
+using GroupId = std::uint64_t;
+
+/// The packet stream a one-tree run pushes through the tree.
 struct TrafficSpec {
   std::uint64_t packet_bytes = 1250;  // 10 kbit per packet
   std::uint32_t num_packets = 64;     // packets in the measured stream
@@ -59,7 +62,7 @@ struct TrafficSpec {
   std::uint64_t stream = 0;           // group/stream id the bins key on
 };
 
-/// Per-receiver and session-level results (cam::StreamResult alias).
+/// Per-receiver and session-level results of one group.
 struct SessionStats {
   /// Steady-state rate at the slowest receiver (kbps): delivered-1
   /// packet payloads over the time between its first and last arrival.
@@ -74,8 +77,9 @@ struct SessionStats {
 };
 
 struct ForwarderConfig {
-  /// false = legacy FIFO uplink plane (no gradients, no delegation, no
-  /// depth reports); true = congestion-gradient forwarding.
+  /// false = the FIFO uplink plane (no gradients, no delegation, no
+  /// depth reports); true = congestion-gradient forwarding. One-group
+  /// planes only.
   bool backpressure = true;
   /// Minimum gradient advantage (ms of serialization backlog) before
   /// service order deviates from FIFO or a copy is delegated. Zero
@@ -94,7 +98,8 @@ struct ForwarderConfig {
   double admission_high_ms = 0;
   double admission_low_ms = 0;
   /// Latency-constrained mode: a copy older than this at service time
-  /// is zombied instead of transmitted. 0 = no deadline.
+  /// is zombied instead of transmitted. 0 = no deadline. One-group
+  /// planes only.
   double deadline_ms = 0;
   /// Cadence of child -> parent uplink-backlog advertisements.
   double depth_report_interval_ms = 20.0;
@@ -119,7 +124,7 @@ struct DepthFeedHooks {
   }
 };
 
-/// Everything one run measures, legacy session stats included.
+/// Everything one one-tree run measures.
 struct ForwardStats {
   SessionStats session;
   std::uint64_t packets_emitted = 0;
@@ -137,38 +142,141 @@ struct ForwardStats {
   std::uint64_t pool_recycled = 0;
 };
 
-class BackpressureForwarder {
- public:
-  /// Builds the per-node link structure from the recorded tree. Node
-  /// indexing is by ascending id (deterministic across platforms).
-  BackpressureForwarder(const MulticastTree& tree,
-                        const LatencyModel& latency, ForwarderConfig cfg,
-                        telemetry::Sink sink = {});
+enum class SchedMode : std::uint8_t {
+  kShared,        // one FIFO uplink per node, all groups contend
+  kLedgerShares,  // per-(node, group) transmitters, isolated
+};
 
-  /// Dense node table, ascending id; index i is the `dest` space of
-  /// QueuedCopy and the row of the uplink capacity table.
+/// One group's tree as a plane is built from it.
+struct GroupShape {
+  struct Member {
+    Id id = 0;
+    Id parent = 0;          // == id for the source
+    double share_kbps = 0;  // kLedgerShares rate; 0 = the full uplink
+  };
+  GroupId id = 0;
+  Id source = 0;
+  std::vector<Member> members;  // ascending id
+};
+
+/// One group's stream for a run.
+struct GroupTraffic {
+  GroupId group = 0;
+  std::uint64_t packet_bytes = 1250;
+  std::uint32_t num_packets = 64;
+  double source_rate_kbps = 0;  // 0 = back-to-back
+  SimTime start_ms = 0;         // emission start offset
+  /// Source admission throttle in (0, 1] — SessionLayer::throttle(g)
+  /// under graceful degradation. Below 1.0 the source spaces emissions
+  /// at throttle * the nominal rate (back-to-back becomes paced at
+  /// throttle * B_src) instead of dropping the parked subtree's share.
+  double throttle = 1.0;
+};
+
+/// Mid-stream failover surgery, replayed by the event loop: oracle (or
+/// detector-derived) crash instants plus the per-edge consequences the
+/// control plane worked out — parent-side prunes at each watcher's
+/// detection time and child reattaches (with pull gap-repair) once the
+/// session layer re-hung the orphan. Ids are overlay ids; groups must
+/// be streamed groups.
+struct FailoverScript {
+  struct Crash {
+    SimTime at_ms = 0;
+    Id node = 0;
+  };
+  struct Prune {  // `parent` stops forwarding group `group` to `child`
+    SimTime at_ms = 0;
+    GroupId group = 0;
+    Id parent = 0;
+    Id child = 0;
+  };
+  struct Reattach {  // `child` re-hangs under `parent`, then backfills
+    SimTime at_ms = 0;
+    GroupId group = 0;
+    Id child = 0;
+    Id parent = 0;
+  };
+  std::vector<Crash> crashes;
+  std::vector<Prune> prunes;
+  std::vector<Reattach> reattaches;
+
+  bool empty() const {
+    return crashes.empty() && prunes.empty() && reattaches.empty();
+  }
+};
+
+/// Per-group results of a run.
+struct GroupRunStats {
+  GroupId group = 0;
+  SessionStats session;
+  std::uint64_t packets_emitted = 0;
+  std::uint64_t copies_delivered = 0;
+  std::uint64_t copies_expected = 0;
+  std::uint64_t duplicate_deliveries = 0;  // exactly-once: must be 0
+  std::uint64_t admission_pauses = 0;
+  SimTime admission_paused_ms = 0;
+  double p99_latency_ms = 0;   // per-copy (arrival - emit), 99th pct
+  double mean_latency_ms = 0;
+  // Failover accounting (all zero when the run had no FailoverScript).
+  std::uint64_t copies_lost = 0;       // flushed at crashes / dead drops
+  std::uint64_t reattaches = 0;        // applied reattach events
+  std::uint64_t repaired_copies = 0;   // pull-repair copies enqueued
+  std::uint64_t repair_zombies = 0;    // missing seqs past the deadline
+  std::uint64_t zombie_lost_deliveries = 0;  // deliveries abandoned
+  std::uint64_t gap_packets_total = 0;  // sum of reattach bitmap gaps
+  std::uint64_t gap_packets_max = 0;    // worst single reattach gap
+  /// Relays skipped because the (reattached) child's bitmap already
+  /// held the sequence — the exactly-once guard on the failover path.
+  std::uint64_t suppressed_relays = 0;
+};
+
+struct MultiGroupStats {
+  std::vector<GroupRunStats> groups;  // in traffic order
+  /// Sum over groups of delivered payload over the whole-run makespan.
+  double aggregate_goodput_kbps = 0;
+  /// Jain index over per-group session rates (groups with receivers).
+  double jain_fairness = 0;
+  double p99_latency_ms = 0;  // across every delivery of every group
+  SimTime completion_ms = 0;
+  std::uint64_t copies_sent = 0;
+  double max_backlog_ms = 0;  // deepest serving-rate backlog observed
+};
+
+/// The plane itself. Build it through BackpressureForwarder (one tree)
+/// or session::MultiGroupForwarder (a session's groups).
+class Forwarder {
+ public:
+  /// Dense node table, ascending id: the union of the groups' members.
+  /// Index i is the `dest` space of QueuedCopy and the row of the
+  /// uplink capacity table.
   const std::vector<Id>& node_ids() const { return ids_; }
 
   /// Installs the pre-resolved uplink capacity table (kbps, aligned
   /// with node_ids()). All rates must be positive.
   void set_uplinks(std::vector<double> kbps);
-  /// Convenience: resolves the table with one call per node at setup
-  /// time, so the per-packet hot path never touches a std::function.
-  void resolve_uplinks(const std::function<double(Id)>& kbps_of);
 
-  /// Routes depth advertisements through an external transport instead
-  /// of the oracle event payload. Install before run().
-  void set_depth_feed(DepthFeedHooks feed) { feed_ = std::move(feed); }
+  /// Streams every group in `traffic` (each group at most once). A
+  /// non-empty `script` injects mid-stream failover: crashed nodes
+  /// flush their queues and stop delivering, pruned edges stop
+  /// forwarding, and reattached children backfill their delivery-bitmap
+  /// gap from the new parent (pull repair, repair deadline permitting).
+  /// Single-shot: construct a fresh plane per run.
+  MultiGroupStats run(const std::vector<GroupTraffic>& traffic,
+                      const FailoverScript& script = {});
 
-  /// Runs one stream through the tree. Single-shot: construct a fresh
-  /// forwarder per stream.
-  ForwardStats run(const TrafficSpec& traffic);
+ protected:
+  /// Builds the per-node links (one per (node, child) pair across every
+  /// group, ascending child id) and the per-group member views.
+  /// Backpressure and deadlines need exactly one group.
+  Forwarder(const LatencyModel& latency,
+            const std::vector<GroupShape>& groups, ForwarderConfig cfg,
+            SchedMode mode, double repair_deadline_ms,
+            telemetry::Sink sink);
 
- private:
   struct Link {
-    std::uint32_t child = 0;   // dense index
+    std::uint32_t child = 0;   // dense node index
     SimTime latency_ms = 0;    // one-way, resolved at construction
-    BinQueue queue;
+    BinQueue queue;            // bins keyed by group id
     // Depth-gradient accounting: the child's last advertised uplink
     // backlog, plus a local correction for bytes delegated to it since
     // that report.
@@ -177,30 +285,101 @@ class BackpressureForwarder {
   };
 
   struct Node {
-    std::uint32_t parent = 0;      // dense index; self for the source
-    SimTime parent_latency_ms = 0;
-    double kbps = 0;
-    std::vector<Link> links;       // ascending child id = tree order
-    BinQueue relay;                // delegated duties (foreign dests)
-    bool tx_busy = false;
-    // Admission state.
-    bool own_congested = false;
-    std::uint32_t congested_children = 0;
-    bool flag_sent = false;        // last subtree flag signaled upward
-    // Measurement.
-    SimTime first_arrival_ms = 0;
-    SimTime last_arrival_ms = 0;
-    std::uint32_t delivered = 0;
+    double kbps = 0;           // full uplink B_x
+    std::vector<Link> links;   // ascending child id; reattach appends
+    BinQueue relay;            // delegated duties (foreign dests)
+    bool tx_busy = false;      // kShared transmitter
   };
 
+  /// One of a member's child links in its group.
+  struct MemberLink {
+    std::uint32_t link = 0;   // index into Node::links
+    std::uint32_t child = 0;  // the child's member slot
+  };
+
+  /// Per-group view of one member node. Slots ascend by id; when a
+  /// group spans every node (any one-tree plane) slot i is node i.
+  struct Member {
+    std::uint32_t node = 0;     // dense node index
+    std::uint32_t parent = 0;   // member slot; own slot for the source
+    SimTime parent_latency_ms = 0;
+    std::vector<MemberLink> links;  // ascending child id
+    double rate_kbps = 0;  // serving rate: B_x, or the ledger share
+    bool vtx_busy = false;            // kLedgerShares transmitter
+    // Per-group admission state (flags climb this group's tree).
+    bool own_congested = false;
+    bool flag_sent = false;
+    /// What the parent last heard from this member (set/clear), so a
+    /// prune can retract exactly the standing contribution and a
+    /// reattach can transfer it to the new parent.
+    bool flag_landed = false;
+    bool pruned = false;    // parent stopped forwarding (member is dead)
+    bool detached = false;  // upstream edge severed, reattach pending
+    std::uint32_t congested_children = 0;
+    // Measurement.
+    std::uint32_t delivered = 0;
+    std::uint32_t frozen_delivered = 0;  // delivered count at crash time
+    SimTime first_arrival_ms = 0;
+    SimTime last_arrival_ms = 0;
+  };
+
+  struct Group {
+    GroupTraffic traffic;
+    double packet_kbit = 0;
+    SimTime gen_interval = 0;
+    std::uint32_t source = 0;  // member slot
+    std::vector<Member> members;
+    FlatMap<std::uint32_t, std::uint32_t> slot_of;  // node -> slot, or
+                                                    // empty when slot == node
+    std::vector<std::uint64_t> delivered_bits;      // per slot, per seq
+    std::size_t words_per_member = 0;
+    std::vector<SimTime> emit_ms;  // source emission time per seq
+    // Emission state.
+    SimTime emit_offset = 0;
+    std::uint32_t next_emit = 0;
+    bool emission_paused = false;
+    SimTime pause_start_ms = 0;
+    std::vector<double> latencies_ms;  // every delivery's arrival - emit
+    GroupRunStats stats;               // stats.group is the group id
+  };
+
+  const LatencyModel& latency_;
+  ForwarderConfig cfg_;
+  SchedMode mode_;
+  double repair_deadline_ms_;
+  telemetry::Sink sink_;
+  DepthFeedHooks feed_;
+  /// Per-delivery latency samples feed GroupRunStats' percentiles; a
+  /// one-tree run reports none and skips them.
+  bool keep_latencies_ = true;
+
+  std::vector<Id> ids_;
+  std::vector<Node> nodes_;
+  std::vector<Group> groups_;
+  FlatMap<GroupId, std::uint32_t> group_index_;
+  std::vector<std::uint32_t> active_;  // streamed groups, traffic order
+
+  PacketPool pool_;
+  std::uint64_t copies_sent_ = 0;
+  double max_backlog_ms_ = 0;
+  std::uint64_t delegated_copies_ = 0;
+  std::uint64_t zombie_copies_ = 0;
+  std::uint64_t zombie_bytes_ = 0;
+
+ private:
   enum class EventKind : std::uint8_t {
-    kSourceEmit,     // node = source, aux = packet seq
-    kArrival,        // copy lands at `node`
-    kTxFree,         // node's transmitter finished a copy
-    kDelegateArrive, // delegated duty (pkt -> dest) reaches helper
-    kDepthReport,    // periodic advertisement tick at `node`
-    kDepthArrive,    // advertisement reaches the parent (value = ms)
-    kFlagArrive,     // congestion flag flips at the parent (aux = 0/1)
+    kSourceEmit,      // dest = group index, aux = packet seq
+    kArrival,         // copy lands at `node`; aux = sender's node index
+    kTxFree,          // kShared: node's transmitter finished a copy
+    kVtxFree,         // kLedgerShares: member `dest`'s transmitter idle
+    kDelegateArrive,  // delegated duty (pkt -> node `dest`) reaches helper
+    kDepthReport,     // periodic advertisement tick at `node`
+    kDepthArrive,     // advertisement of child `dest` reaches parent
+                      // `node` (aux = the backlog's bits)
+    kFlagArrive,      // congestion flag from `node` at member slot `dest`
+    kCrash,           // node dies: flush queues, freeze its expectation
+    kPrune,           // node (parent) stops forwarding gidx to dest
+    kReattach,        // node (child) re-hangs under dest (parent) in gidx
   };
 
   struct Event {
@@ -208,10 +387,10 @@ class BackpressureForwarder {
     std::uint64_t seq = 0;
     EventKind kind = EventKind::kSourceEmit;
     std::uint32_t node = 0;
-    std::uint32_t dest = 0;
+    std::uint32_t dest = 0;  // group index / member slot / node
+    std::uint32_t gidx = 0;
     PacketRef pkt = kNullPacket;
     std::uint64_t aux = 0;
-    double value = 0;
   };
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {
@@ -221,52 +400,75 @@ class BackpressureForwarder {
   };
 
   void push_event(Event e);
-  double backlog_ms(const Node& n) const;
-  double backlog_bytes(const Node& n) const;
-  bool delivered(std::uint32_t node, std::uint32_t seq) const;
-  std::uint32_t link_index(const Node& n, std::uint32_t child) const;
-
-  void emit(std::uint32_t seq, SimTime now);
-  void enqueue_copy(std::uint32_t owner, std::uint32_t dest, PacketRef pkt,
-                    SimTime now, bool via_relay, bool delegated);
-  void relay_to_children(std::uint32_t node, PacketRef pkt, SimTime now);
-  void start_tx_if_idle(std::uint32_t node, SimTime now);
-  void serve(std::uint32_t node, SimTime now);
-  void handle_arrival(const Event& e);
-  void update_congestion(std::uint32_t node, SimTime now);
-  void maybe_resume(SimTime now);
+  double node_backlog_ms(const Node& n) const;
+  double group_backlog_ms(const Group& g, const Member& m) const;
+  std::uint32_t group_of(GroupId id) const;
+  std::uint32_t slot_of(const Group& g, std::uint32_t node) const;
+  bool holds(const Group& g, std::uint32_t slot, std::uint32_t seq) const;
+  std::uint32_t dense_index(Id id) const;
+  /// Index of `n`'s link to `child`, or n.links.size() if it has none.
+  static std::uint32_t find_link(const Node& n, std::uint32_t child);
   bool active() const;
 
-  const LatencyModel& latency_;
-  ForwarderConfig cfg_;
-  telemetry::Sink sink_;
-  DepthFeedHooks feed_;
+  void emit(std::uint32_t gidx, std::uint32_t seq, SimTime now);
+  void relay_to_children(std::uint32_t gidx, std::uint32_t slot,
+                         PacketRef pkt, SimTime now);
+  void start_tx(std::uint32_t gidx, std::uint32_t slot, SimTime now);
+  void serve_shared(std::uint32_t node, SimTime now);
+  void serve_group(std::uint32_t gidx, std::uint32_t slot, SimTime now);
+  /// Schedules the arrival of a transmitted copy.
+  void send(std::uint32_t sender, std::uint32_t gidx, const QueuedCopy& copy,
+            SimTime at);
+  void handle_arrival(const Event& e);
+  void depth_report(const Event& e);
+  void depth_arrive(const Event& e);
+  void flag_arrive(const Event& e);
+  void update_congestion(std::uint32_t gidx, std::uint32_t slot,
+                         SimTime now);
+  void maybe_resume(std::uint32_t gidx, SimTime now);
 
-  std::vector<Id> ids_;
-  std::vector<Node> nodes_;
-  std::uint32_t source_ = 0;
+  void crash_node(std::uint32_t node);
+  void prune_link(std::uint32_t gidx, std::uint32_t parent,
+                  std::uint32_t child, SimTime now);
+  void reattach(std::uint32_t gidx, std::uint32_t child,
+                std::uint32_t parent, SimTime now);
+  /// Flips `detached` on the subtree currently hanging from `slot`
+  /// (link-reachable members), `slot` included.
+  void mark_detached(Group& g, std::uint32_t slot, bool detached);
 
-  PacketPool pool_;
+  void finalize(MultiGroupStats& out);
+
   std::vector<Event> heap_;
   std::uint64_t next_event_seq_ = 0;
   std::uint64_t next_order_ = 0;
-
-  // Per-node delivery bitmap, num_packets bits each (steering
-  // eligibility: a helper must hold the packet it relays).
-  std::vector<std::uint64_t> delivered_bits_;
-  std::size_t words_per_node_ = 0;
-
-  TrafficSpec traffic_;
-  double packet_kbit_ = 0;
-  SimTime gen_interval_ = 0;
-  SimTime emit_offset_ = 0;   // 0 until admission pauses the source
-  std::uint32_t next_emit_ = 0;
-  bool emission_paused_ = false;
-  SimTime pause_start_ms_ = 0;
   std::uint64_t live_copies_ = 0;
   bool ran_ = false;
+  bool failover_active_ = false;
+  std::vector<std::uint8_t> dead_;  // by dense node index
+};
 
-  ForwardStats stats_;
+/// The one-tree plane: one stream over a recorded multicast tree, with
+/// backpressure, delegation, depth reports and deadlines available.
+class BackpressureForwarder : public Forwarder {
+ public:
+  /// Builds the per-node link structure from the recorded tree. Node
+  /// indexing is by ascending id (deterministic across platforms).
+  BackpressureForwarder(const MulticastTree& tree,
+                        const LatencyModel& latency, ForwarderConfig cfg,
+                        telemetry::Sink sink = {});
+
+  /// Convenience: resolves the uplink table with one call per node at
+  /// setup time, so the per-packet hot path never touches a
+  /// std::function.
+  void resolve_uplinks(const std::function<double(Id)>& kbps_of);
+
+  /// Routes depth advertisements through an external transport instead
+  /// of the oracle event payload. Install before run().
+  void set_depth_feed(DepthFeedHooks feed) { feed_ = std::move(feed); }
+
+  /// Runs one stream through the tree. Single-shot: construct a fresh
+  /// forwarder per stream.
+  ForwardStats run(const TrafficSpec& traffic);
 };
 
 }  // namespace cam::dataplane

@@ -22,7 +22,6 @@
 #include "sim/latency.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
-#include "stream/streaming.h"
 
 namespace cam {
 namespace {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -9,7 +10,6 @@
 #include "dataplane/packet_pool.h"
 #include "multicast/metrics.h"
 #include "runtime/cells.h"
-#include "stream/streaming.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "test_util.h"
@@ -166,7 +166,8 @@ MulticastTree hub_tree() {
   return tree;
 }
 
-ForwardStats run_tree(const MulticastTree& tree, const UplinkFn& uplink,
+ForwardStats run_tree(const MulticastTree& tree,
+                      const std::function<double(Id)>& uplink,
                       double latency_ms, ForwarderConfig cfg,
                       TrafficSpec traffic, telemetry::Sink sink = {}) {
   ConstantLatency lat(latency_ms);
@@ -194,25 +195,6 @@ TEST(DataplaneForwarder, FifoModeMatchesLegacyNumbersExactly) {
   EXPECT_EQ(s.copies_sent, 32u);
   EXPECT_EQ(s.copies_delivered, 32u);
   EXPECT_EQ(s.delegated_copies, 0u);
-}
-
-// The public stream API is a view of the data plane: identical structs.
-TEST(DataplaneForwarder, StreamOverTreeIsTheFifoForwarder) {
-  MulticastTree tree = hub_tree();
-  auto uplink = [](Id x) { return x == 2 ? 80.0 : 500.0; };
-  ConstantLatency lat(10.0);
-  StreamConfig cfg;
-  cfg.num_packets = 24;
-  StreamResult via_api = stream_over_tree(tree, uplink, lat, cfg);
-
-  ForwarderConfig fwd;
-  fwd.backpressure = false;
-  ForwardStats direct = run_tree(tree, uplink, 10.0, fwd, cfg);
-  EXPECT_EQ(via_api.session_rate_kbps, direct.session.session_rate_kbps);
-  EXPECT_EQ(via_api.completion_ms, direct.session.completion_ms);
-  EXPECT_EQ(via_api.mean_rate_kbps, direct.session.mean_rate_kbps);
-  EXPECT_EQ(via_api.max_first_packet_ms, direct.session.max_first_packet_ms);
-  EXPECT_EQ(via_api.receivers, direct.session.receivers);
 }
 
 // Uncongested, backpressure IS the FIFO schedule — every measured field

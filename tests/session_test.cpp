@@ -2,9 +2,9 @@
 // accounting, GroupTree editing, capacity-aware join placement, and —
 // the load-bearing one — single-group byte-identity: a session with one
 // group streamed through the MultiGroupForwarder must reproduce the
-// legacy src/stream schedule bit for bit (in BOTH service disciplines;
-// a sole ledger debtor owns the full uplink), pinned field-for-field
-// against stream_over_tree() and against a committed golden.
+// paper's FIFO plane bit for bit (in BOTH service disciplines; a sole
+// ledger debtor owns the full uplink), pinned field-for-field against a
+// FIFO-mode BackpressureForwarder and against a committed golden.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -20,7 +20,6 @@
 #include "session/multi_forwarder.h"
 #include "session/session.h"
 #include "strategy/strategy.h"
-#include "stream/streaming.h"
 #include "util/rng.h"
 #include "workload/population.h"
 
@@ -375,16 +374,19 @@ TEST(SessionSingleGroup, ByteIdenticalToLegacyStreamPlane) {
     }
     ASSERT_TRUE(layer.check().empty());
 
-    // Legacy plane: the SAME recorded tree, full uplinks.
+    // The paper's FIFO plane: the SAME recorded tree, full uplinks,
+    // through a FIFO-mode one-tree forwarder.
     const MulticastTree tree = layer.group(9)->to_multicast_tree();
     const ConstantLatency latency(10.0);
-    StreamConfig cfg;
+    dataplane::TrafficSpec cfg;
     cfg.packet_bytes = 1250;
     cfg.num_packets = 48;
     cfg.stream = 9;
-    const StreamResult legacy = stream_over_tree(
-        tree, [&](Id x) { return dir.info(x).bandwidth_kbps; }, latency,
-        cfg);
+    dataplane::ForwarderConfig fifo;
+    fifo.backpressure = false;
+    dataplane::BackpressureForwarder plane(tree, latency, fifo);
+    plane.resolve_uplinks([&](Id x) { return dir.info(x).bandwidth_kbps; });
+    const dataplane::SessionStats legacy = plane.run(cfg).session;
 
     session::GroupTraffic traffic;
     traffic.group = 9;

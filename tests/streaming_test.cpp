@@ -1,16 +1,35 @@
-#include "stream/streaming.h"
+// Packet-level streaming over a multicast tree (Section 4.3 of the
+// paper): every node relays each packet through its FIFO uplink as soon
+// as it arrives. These tests hold a FIFO-mode BackpressureForwarder to
+// the paper's throughput model: a node with c children and upload B
+// drains at B/c, and the slowest drain bounds every downstream receiver.
+#include <functional>
 
 #include <gtest/gtest.h>
 
 #include "camchord/oracle.h"
+#include "dataplane/forwarder.h"
 #include "multicast/metrics.h"
 #include "test_util.h"
 
 namespace cam {
 namespace {
 
+using dataplane::SessionStats;
+using dataplane::TrafficSpec;
 using test::capacity_fn;
 using test::make_population;
+
+/// The paper's plane: `traffic` through a FIFO-mode forwarder.
+SessionStats stream(const MulticastTree& tree,
+                    const std::function<double(Id)>& uplink,
+                    const LatencyModel& lat, const TrafficSpec& traffic) {
+  dataplane::ForwarderConfig fifo;
+  fifo.backpressure = false;
+  dataplane::BackpressureForwarder fwd(tree, lat, fifo);
+  fwd.resolve_uplinks(uplink);
+  return fwd.run(traffic).session;
+}
 
 // A two-node chain: source -> A. Source uplink 100 kbps, packets of
 // 1250 bytes (10 kbit) take 100 ms each; steady-state rate at A must be
@@ -19,10 +38,10 @@ TEST(Streaming, SingleLinkRateEqualsUplink) {
   MulticastTree tree(1);
   tree.record(1, 2, 1);
   ConstantLatency lat(30.0);
-  StreamConfig cfg;
+  TrafficSpec cfg;
   cfg.num_packets = 32;
-  StreamResult r =
-      stream_over_tree(tree, [](Id) { return 100.0; }, lat, cfg);
+  SessionStats r =
+      stream(tree, [](Id) { return 100.0; }, lat, cfg);
   EXPECT_EQ(r.receivers, 1u);
   EXPECT_NEAR(r.session_rate_kbps, 100.0, 1.0);
   // First packet: 100 ms transmission + 30 ms propagation.
@@ -36,10 +55,10 @@ TEST(Streaming, FanoutHalvesPerChildRate) {
   tree.record(1, 2, 1);
   tree.record(1, 3, 1);
   ConstantLatency lat(5.0);
-  StreamConfig cfg;
+  TrafficSpec cfg;
   cfg.num_packets = 64;
-  StreamResult r =
-      stream_over_tree(tree, [](Id) { return 100.0; }, lat, cfg);
+  SessionStats r =
+      stream(tree, [](Id) { return 100.0; }, lat, cfg);
   EXPECT_EQ(r.receivers, 2u);
   EXPECT_NEAR(r.session_rate_kbps, 50.0, 1.0);
 }
@@ -51,10 +70,10 @@ TEST(Streaming, BottleneckRelayGovernsDownstream) {
   tree.record(1, 2, 1);
   tree.record(2, 3, 2);
   ConstantLatency lat(1.0);
-  StreamConfig cfg;
+  TrafficSpec cfg;
   cfg.num_packets = 64;
   auto uplink = [](Id x) { return x == 2 ? 40.0 : 400.0; };
-  StreamResult r = stream_over_tree(tree, uplink, lat, cfg);
+  SessionStats r = stream(tree, uplink, lat, cfg);
   EXPECT_NEAR(r.session_rate_kbps, 40.0, 1.0);
 }
 
@@ -63,27 +82,27 @@ TEST(Streaming, SourcePacingCapsRate) {
   MulticastTree tree(1);
   tree.record(1, 2, 1);
   ConstantLatency lat(1.0);
-  StreamConfig cfg;
+  TrafficSpec cfg;
   cfg.num_packets = 64;
   cfg.source_rate_kbps = 25.0;
-  StreamResult r =
-      stream_over_tree(tree, [](Id) { return 1000.0; }, lat, cfg);
+  SessionStats r =
+      stream(tree, [](Id) { return 1000.0; }, lat, cfg);
   EXPECT_NEAR(r.session_rate_kbps, 25.0, 0.5);
 }
 
 TEST(Streaming, DegenerateInputs) {
   MulticastTree lone(9);
   ConstantLatency lat(1.0);
-  StreamResult r =
-      stream_over_tree(lone, [](Id) { return 100.0; }, lat, StreamConfig{});
+  SessionStats r =
+      stream(lone, [](Id) { return 100.0; }, lat, TrafficSpec{});
   EXPECT_EQ(r.receivers, 0u);
   EXPECT_EQ(r.session_rate_kbps, 0.0);
 
   MulticastTree pair(1);
   pair.record(1, 2, 1);
-  StreamConfig none;
+  TrafficSpec none;
   none.num_packets = 0;
-  r = stream_over_tree(pair, [](Id) { return 100.0; }, lat, none);
+  r = stream(pair, [](Id) { return 100.0; }, lat, none);
   EXPECT_EQ(r.receivers, 0u);
 }
 
@@ -99,9 +118,9 @@ TEST(Streaming, MatchesAnalyticThroughputOnCamChordTree) {
   double analytic = tree_throughput_kbps(tree, bw);
 
   ConstantLatency lat(10.0);
-  StreamConfig cfg;
+  TrafficSpec cfg;
   cfg.num_packets = 48;
-  StreamResult r = stream_over_tree(tree, bw, lat, cfg);
+  SessionStats r = stream(tree, bw, lat, cfg);
   EXPECT_EQ(r.receivers, tree.size() - 1);
   EXPECT_LE(r.session_rate_kbps, analytic * 1.02);
   EXPECT_GE(r.session_rate_kbps, analytic * 0.5);

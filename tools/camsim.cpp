@@ -110,6 +110,7 @@
 
 #include "camchord/net.h"
 #include "camchord/oracle.h"
+#include "dataplane/forwarder.h"
 #include "experiments/runner.h"
 #include "experiments/table.h"
 #include "experiments/telemetry_report.h"
@@ -122,7 +123,6 @@
 #include "runtime/flags.h"
 #include "strategy/chaos.h"
 #include "strategy/strategy.h"
-#include "stream/streaming.h"
 #include "telemetry/export.h"
 #include "util/rng.h"
 #include "workload/churn.h"
@@ -476,9 +476,13 @@ int cmd_stream(const Args& a) {
   MulticastTree tree =
       camchord::multicast(dir.ring(), dir, cap, dir.ids()[0]);
   ConstantLatency lat(10.0);
-  StreamConfig cfg;
-  cfg.num_packets = b.packets;
-  StreamResult r = stream_over_tree(tree, bw, lat, cfg);
+  dataplane::TrafficSpec traffic;
+  traffic.num_packets = b.packets;
+  dataplane::ForwarderConfig fifo;
+  fifo.backpressure = false;  // the paper's Section 4.3 FIFO uplinks
+  dataplane::BackpressureForwarder fwd(tree, lat, fifo);
+  fwd.resolve_uplinks(bw);
+  const dataplane::SessionStats r = fwd.run(traffic).session;
   std::printf("receivers        %zu\n", r.receivers);
   std::printf("session rate     %.1f kbps (analytic %.1f)\n",
               r.session_rate_kbps, tree_throughput_kbps(tree, bw));
