@@ -398,12 +398,16 @@ void Forwarder::serve_group(std::uint32_t gidx, std::uint32_t slot,
   // never sees other groups' queued bytes.
   std::uint32_t head = 0;
   const QueuedCopy* fifo = nullptr;
-  for (const MemberLink& ml : m.links) {
-    const QueuedCopy* c = n.links[ml.link].queue.peek_stream(g.stats.group);
+  const auto consider = [&](std::uint32_t li) {
+    const QueuedCopy* c = n.links[li].queue.peek_stream(g.stats.group);
     if (c != nullptr && (fifo == nullptr || c->order < fifo->order)) {
       fifo = c;
-      head = ml.link;
+      head = li;
     }
+  };
+  for (const MemberLink& ml : m.links) consider(ml.link);
+  for (const auto& [s, li] : g.draining) {
+    if (s == slot) consider(li);
   }
   if (fifo == nullptr) return;
 
@@ -826,9 +830,15 @@ void Forwarder::prune_link(std::uint32_t gidx, std::uint32_t parent,
   cn.pruned = true;
   // Copies already queued on the pruned link still drain — the parent
   // spent that uplink before detection — and evaporate on arrival at
-  // the dead child. Only future relays skip the edge.
+  // the dead child. Only future relays skip the edge. The shared
+  // transmitter serves every link of its node; a per-group one keeps
+  // the link on its drain list.
   for (auto it = pn.links.begin(); it != pn.links.end(); ++it) {
     if (it->child == cslot) {
+      if (mode_ == SchedMode::kLedgerShares &&
+          nodes_[parent].links[it->link].queue.depth_bytes(g.stats.group) > 0) {
+        g.draining.emplace_back(pslot, it->link);
+      }
       pn.links.erase(it);
       break;
     }

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "dataplane/bin_queue.h"
@@ -305,8 +306,12 @@ class Forwarder {
     SimTime parent_latency_ms = 0;
     std::vector<MemberLink> links;  // ascending child id
     double rate_kbps = 0;  // serving rate: B_x, or the ledger share
-    bool vtx_busy = false;            // kLedgerShares transmitter
     // Per-group admission state (flags climb this group's tree).
+    std::uint32_t congested_children = 0;
+    // Measurement.
+    std::uint32_t delivered = 0;
+    std::uint32_t frozen_delivered = 0;  // delivered count at crash time
+    bool vtx_busy = false;  // kLedgerShares transmitter
     bool own_congested = false;
     bool flag_sent = false;
     /// What the parent last heard from this member (set/clear), so a
@@ -315,10 +320,6 @@ class Forwarder {
     bool flag_landed = false;
     bool pruned = false;    // parent stopped forwarding (member is dead)
     bool detached = false;  // upstream edge severed, reattach pending
-    std::uint32_t congested_children = 0;
-    // Measurement.
-    std::uint32_t delivered = 0;
-    std::uint32_t frozen_delivered = 0;  // delivered count at crash time
     SimTime first_arrival_ms = 0;
     SimTime last_arrival_ms = 0;
   };
@@ -334,6 +335,9 @@ class Forwarder {
     std::vector<std::uint64_t> delivered_bits;      // per slot, per seq
     std::size_t words_per_member = 0;
     std::vector<SimTime> emit_ms;  // source emission time per seq
+    /// kLedgerShares: (member slot, link) of pruned links that may still
+    /// hold this group's copies; that member's transmitter drains them.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> draining;
     // Emission state.
     SimTime emit_offset = 0;
     std::uint32_t next_emit = 0;

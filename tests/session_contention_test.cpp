@@ -8,6 +8,8 @@
 //     the other group's queue depth never leaks into its schedule.
 //   * Admission control is per group: only the congested group's source
 //     pauses; the other group never stalls (ISSUE 7 satellite).
+//   * A pruned link drains in both disciplines: the copies its parent
+//     queued before detection are sent and lost at the dead child.
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -22,6 +24,7 @@
 namespace cam {
 namespace {
 
+using session::FailoverScript;
 using session::GroupRunStats;
 using session::GroupTraffic;
 using session::JoinOutcome;
@@ -179,6 +182,54 @@ TEST(SessionContention, AdmissionPausesArePerGroup) {
   EXPECT_EQ(g1.copies_delivered, g1.copies_expected);
   EXPECT_EQ(g2.copies_delivered, g2.copies_expected);
   EXPECT_EQ(g1.duplicate_deliveries + g2.duplicate_deliveries, 0u);
+}
+
+// Regression: under kLedgerShares a prune used to strand the copies
+// already queued on the pruned link, because a per-group transmitter
+// served only its member's live links. The run then ended with packets
+// still in the pool (an assert in builds with assertions) and the
+// stranded copies counted nowhere. Here the heavy group's whole burst
+// is queued toward the victim when it dies: every one of those copies
+// must be sent and lost at the dead child, as under kShared, and the
+// orphans' reattach must still close the ledger.
+TEST(SessionContention, PrunedLinkDrainsInBothDisciplines) {
+  const World w(24);
+  const session::GroupTree& g1 = *w.layer->group(1);
+  const Id source = g1.source();
+  Id victim = 0;
+  std::size_t most = 0;
+  for (Id c : g1.member(source).children) {
+    if (g1.member(c).children.size() > most) {
+      victim = c;
+      most = g1.member(c).children.size();
+    }
+  }
+  ASSERT_GT(most, 0u) << "the source needs an interior child";
+
+  // Back-to-back packets are all queued at t = 0 and none can arrive
+  // within 1 ms, so the victim dies holding nothing and owed 64 copies.
+  FailoverScript script;
+  script.crashes.push_back({1.0, victim});
+  script.prunes.push_back({2.0, 1, source, victim});
+  for (Id orphan : g1.member(victim).children) {
+    script.prunes.push_back({2.0, 1, victim, orphan});
+    script.reattaches.push_back({50.0, 1, orphan, source});
+  }
+
+  const ConstantLatency latency(5.0);
+  for (SchedMode mode : {SchedMode::kShared, SchedMode::kLedgerShares}) {
+    const MultiGroupStats s = MultiGroupForwarder(*w.layer, latency,
+                                                  MultiGroupConfig{mode})
+                                  .run({heavy()}, script);
+    ASSERT_EQ(s.groups.size(), 1u);
+    const GroupRunStats& g = s.groups[0];
+    EXPECT_EQ(g.copies_lost, heavy().num_packets)
+        << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(g.reattaches, most);
+    EXPECT_GT(g.repaired_copies, 0u);
+    EXPECT_EQ(g.duplicate_deliveries, 0u);
+    EXPECT_EQ(g.copies_delivered, g.copies_expected);
+  }
 }
 
 }  // namespace
