@@ -39,6 +39,7 @@ Forwarder::Forwarder(const LatencyModel& latency,
     index.emplace(ids_[i], static_cast<std::uint32_t>(i));
   }
   nodes_.resize(ids_.size());
+  if (cfg_.backpressure) relays_.resize(ids_.size());
   dead_.assign(ids_.size(), 0);
 
   // One Link per (node, child) pair across ALL groups: two groups that
@@ -119,15 +120,17 @@ void Forwarder::push_event(Event e) {
   std::push_heap(heap_.begin(), heap_.end(), EventLater{});
 }
 
-double Forwarder::node_backlog_ms(const Node& n) const {
-  std::uint64_t bytes = n.relay.depth_bytes();
+double Forwarder::node_backlog_ms(std::uint32_t node) const {
+  const Node& n = nodes_[node];
+  std::uint64_t bytes = relays_.empty() ? 0 : relays_[node].depth_bytes();
   for (const Link& l : n.links) bytes += l.queue.depth_bytes();
   return static_cast<double>(bytes) * 8.0 / n.kbps;
 }
 
 double Forwarder::group_backlog_ms(const Group& g, const Member& m) const {
   const Node& n = nodes_[m.node];
-  std::uint64_t bytes = n.relay.empty() ? 0 : n.relay.depth_bytes(g.stats.group);
+  std::uint64_t bytes =
+      relays_.empty() ? 0 : relays_[m.node].depth_bytes(g.stats.group);
   for (const MemberLink& ml : m.links) {
     bytes += n.links[ml.link].queue.depth_bytes(g.stats.group);
   }
@@ -229,14 +232,15 @@ void Forwarder::send(std::uint32_t sender, std::uint32_t gidx,
 void Forwarder::serve_shared(std::uint32_t node, SimTime now) {
   if (dead_[node]) return;
   Node& n = nodes_[node];
+  BinQueue* relay = relays_.empty() ? nullptr : &relays_[node];
   for (;;) {
     // Global-FIFO head: lowest enqueue stamp across the relay queue and
     // every group's bins on every link — the one place where groups
     // contend for the uplink. -1 marks the relay queue.
     int fifo_q = -2;
     const QueuedCopy* fifo = nullptr;
-    if (const QueuedCopy* c = n.relay.peek_fifo()) {
-      fifo = c;
+    if (relay != nullptr && !relay->empty()) {
+      fifo = relay->peek_fifo();
       fifo_q = -1;
     }
     for (std::size_t i = 0; i < n.links.size(); ++i) {
@@ -248,7 +252,7 @@ void Forwarder::serve_shared(std::uint32_t node, SimTime now) {
     }
     if (fifo == nullptr) return;  // transmitter idles
 
-    const double my_backlog = node_backlog_ms(n);
+    const double my_backlog = node_backlog_ms(node);
     if (my_backlog > max_backlog_ms_) max_backlog_ms_ = my_backlog;
     // Congestion gate: one packet's fan-out burst (one copy per child)
     // is normal operation — a node that has just received a packet holds
@@ -275,7 +279,7 @@ void Forwarder::serve_shared(std::uint32_t node, SimTime now) {
       // delegated to it since its last report). Deviating from FIFO
       // requires a hysteresis-sized advantage; ties keep tree order.
       auto gradient = [&](int q) {
-        if (q < 0) return n.relay.depth_bytes() * 8.0 / n.kbps;
+        if (q < 0) return relay->depth_bytes() * 8.0 / n.kbps;
         const Link& l = n.links[static_cast<std::size_t>(q)];
         const double local = l.queue.depth_bytes() * 8.0 / n.kbps;
         const double remote =
@@ -307,7 +311,7 @@ void Forwarder::serve_shared(std::uint32_t node, SimTime now) {
     const std::uint32_t gidx = group_of(pkt.stream);
     auto pop_chosen = [&]() -> QueuedCopy {
       BinQueue& q = chosen_q < 0
-                        ? n.relay
+                        ? *relay
                         : n.links[static_cast<std::size_t>(chosen_q)].queue;
       return by_pressure ? q.pop_pressure(bytes) : q.pop_fifo(bytes);
     };
@@ -465,7 +469,7 @@ void Forwarder::depth_report(const Event& e) {
   if (!active()) return;  // traffic drained; stop the chain
   // Depth reports run on one-group planes only, where slot i is node i.
   const Member& m = groups_[0].members[e.node];
-  const double backlog = node_backlog_ms(nodes_[e.node]);
+  const double backlog = node_backlog_ms(e.node);
   if (feed_) {
     // Piggyback mode: the value travels through the external
     // transport; the event only marks when the parent looks.
@@ -660,8 +664,8 @@ MultiGroupStats Forwarder::run(const std::vector<GroupTraffic>& traffic,
   heap_.reserve(4 * nodes_.size() + 16);
   for (Node& n : nodes_) {
     for (Link& l : n.links) l.queue.reserve(1, 8);
-    if (cfg_.backpressure) n.relay.reserve(1, 8);
   }
+  for (BinQueue& r : relays_) r.reserve(1, 8);
 
   for (std::uint32_t gidx : active_) {
     const Group& g = groups_[gidx];
@@ -736,7 +740,7 @@ MultiGroupStats Forwarder::run(const std::vector<GroupTraffic>& traffic,
       case EventKind::kDelegateArrive:
         // The helper relays the duty from its own uplink; the token's
         // packet ref becomes the relay queue's.
-        nodes_[e.node].relay.push(
+        relays_[e.node].push(
             groups_[0].stats.group,
             QueuedCopy{e.pkt, e.dest, next_order_++, e.time, true},
             pool_.get(e.pkt).bytes);

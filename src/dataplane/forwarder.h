@@ -7,7 +7,7 @@
 //
 //   * every node keeps one BinQueue per child link, with one bin per
 //     group, so two groups that share an edge contend in one queue; a
-//     one-group plane also keeps a relay queue for delegated duties;
+//     backpressure plane also keeps a relay queue for delegated duties;
 //   * kShared: one transmitter per node serves the global-FIFO head
 //     across every group's bins at the full uplink rate B_x — the paper's
 //     single FIFO uplink. With one group (BackpressureForwarder) this
@@ -288,7 +288,6 @@ class Forwarder {
   struct Node {
     double kbps = 0;           // full uplink B_x
     std::vector<Link> links;   // ascending child id; reattach appends
-    BinQueue relay;            // delegated duties (foreign dests)
     bool tx_busy = false;      // kShared transmitter
   };
 
@@ -359,6 +358,9 @@ class Forwarder {
 
   std::vector<Id> ids_;
   std::vector<Node> nodes_;
+  /// Per node, the duties delegated to it (copies for foreign
+  /// destinations). Backpressure planes only; empty otherwise.
+  std::vector<BinQueue> relays_;
   std::vector<Group> groups_;
   FlatMap<GroupId, std::uint32_t> group_index_;
   std::vector<std::uint32_t> active_;  // streamed groups, traffic order
@@ -404,7 +406,7 @@ class Forwarder {
   };
 
   void push_event(Event e);
-  double node_backlog_ms(const Node& n) const;
+  double node_backlog_ms(std::uint32_t node) const;
   double group_backlog_ms(const Group& g, const Member& m) const;
   std::uint32_t group_of(GroupId id) const;
   std::uint32_t slot_of(const Group& g, std::uint32_t node) const;
