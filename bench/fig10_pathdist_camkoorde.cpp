@@ -23,13 +23,15 @@ int main(int argc, char** argv) {
   for (const auto& r : rows) max_hops = std::max(max_hops, r.histogram.size());
   std::vector<std::string> header{"capacity", "avg_path"};
   for (std::size_t h = 0; h < max_hops; ++h) {
-    header.push_back("h" + std::to_string(h));
+    std::string label = "h";
+    label += std::to_string(h);
+    header.push_back(label);
   }
   Table t(header);
   for (const auto& r : rows) {
-    std::vector<std::string> row{
-        "[" + std::to_string(r.cap_lo) + ".." + std::to_string(r.cap_hi) + "]",
-        fmt(r.avg_path, 2)};
+    std::string range = "[";
+    range += std::to_string(r.cap_lo) + ".." + std::to_string(r.cap_hi) + "]";
+    std::vector<std::string> row{range, fmt(r.avg_path, 2)};
     for (std::size_t h = 0; h < max_hops; ++h) {
       row.push_back(h < r.histogram.size() ? std::to_string(r.histogram[h])
                                            : "0");

@@ -71,6 +71,14 @@ echo "== tier-1: ASan+UBSan detection-driven failover smoke =="
   --packets=16 > /dev/null
 
 echo
+echo "== tier-1: release preset build, warnings are errors =="
+# NDEBUG and -O3 bring their own diagnostics (assert-only variables,
+# optimizer-only -Wrestrict), so the release tree of the library, tests
+# and benches must build warning-free too.
+cmake --preset release -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
+cmake --build build-release -j
+
+echo
 echo "== tier-1: perf smoke (release preset, calibrated ns/event gate) =="
 # Best-of-3 engine_sweep at reduced scale against the committed
 # BENCH_PR5.json baseline; fails on a >25% load-normalized ns/event
@@ -97,7 +105,7 @@ echo
 echo "== tier-1: TSan engine goldens + dataplane/session sweeps (byte-identity) =="
 cmake --build build-tsan -j --target cam_tests
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-  -R 'EngineGolden|DataplaneSweep|SessionSweep|DetectionModeSweep|StrategyGolden|SessionPlacementGolden'
+  -R 'EngineGolden|DataplaneSweep|DataplaneGolden|SessionSweep|DetectionModeSweep|StrategyGolden|SessionPlacementGolden'
 
 echo
 echo "== tier-1: TSan sharded engine (cross-shard message passing) =="

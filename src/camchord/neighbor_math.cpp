@@ -66,8 +66,8 @@ std::vector<ChildAssignment> select_children(const RingSpace& ring,
 void select_children_into(const RingSpace& ring, std::uint32_t c, Id x, Id k,
                           std::vector<ChildAssignment>& out) {
   assert(c >= kMinCapacity);
-  std::uint64_t d = ring.clockwise(x, k);
-  assert(d >= 1 && "select_children requires a non-empty region (x, k]");
+  assert(ring.clockwise(x, k) >= 1 &&
+         "select_children requires a non-empty region (x, k]");
 
   const auto [i, j] = level_seq(ring, c, x, k);
   out.clear();

@@ -91,8 +91,10 @@ INSTANTIATE_TEST_SUITE_P(
                       LookupParam{2000, 19, 4, 200}),
     [](const auto& info) {
       const auto& p = info.param;
-      return "n" + std::to_string(p.n) + "b" + std::to_string(p.bits) + "c" +
-             std::to_string(p.cap_lo) + "to" + std::to_string(p.cap_hi);
+      std::string name = "n";
+      name += std::to_string(p.n) + "b" + std::to_string(p.bits) + "c" +
+              std::to_string(p.cap_lo) + "to" + std::to_string(p.cap_hi);
+      return name;
     });
 
 class CamChordMulticastProperty : public ::testing::TestWithParam<LookupParam> {
@@ -142,8 +144,10 @@ INSTANTIATE_TEST_SUITE_P(
                       LookupParam{2000, 19, 4, 200}),
     [](const auto& info) {
       const auto& p = info.param;
-      return "n" + std::to_string(p.n) + "b" + std::to_string(p.bits) + "c" +
-             std::to_string(p.cap_lo) + "to" + std::to_string(p.cap_hi);
+      std::string name = "n";
+      name += std::to_string(p.n) + "b" + std::to_string(p.bits) + "c" +
+              std::to_string(p.cap_lo) + "to" + std::to_string(p.cap_hi);
+      return name;
     });
 
 TEST(CamChordMulticast, SingleNodeTreeIsJustTheSource) {

@@ -66,8 +66,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{2000, 19, 4, 200}),
     [](const auto& info) {
       const auto& p = info.param;
-      return "n" + std::to_string(p.n) + "b" + std::to_string(p.bits) + "c" +
-             std::to_string(p.cap_lo) + "to" + std::to_string(p.cap_hi);
+      std::string name = "n";
+      name += std::to_string(p.n) + "b" + std::to_string(p.bits) + "c" +
+              std::to_string(p.cap_lo) + "to" + std::to_string(p.cap_hi);
+      return name;
     });
 
 class CamKoordeMulticastProperty : public ::testing::TestWithParam<Param> {};
@@ -114,8 +116,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{1000, 19, 20, 40}, Param{2000, 19, 4, 200}),
     [](const auto& info) {
       const auto& p = info.param;
-      return "n" + std::to_string(p.n) + "b" + std::to_string(p.bits) + "c" +
-             std::to_string(p.cap_lo) + "to" + std::to_string(p.cap_hi);
+      std::string name = "n";
+      name += std::to_string(p.n) + "b" + std::to_string(p.bits) + "c" +
+              std::to_string(p.cap_lo) + "to" + std::to_string(p.cap_hi);
+      return name;
     });
 
 TEST(CamKoordeMulticast, DepthShrinksWithCapacity) {

@@ -58,8 +58,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{1000, 19, 16}),
     [](const auto& info) {
       const auto& p = info.param;
-      return "n" + std::to_string(p.n) + "b" + std::to_string(p.bits) +
-             "base" + std::to_string(p.base);
+      std::string name = "n";
+      name += std::to_string(p.n) + "b" + std::to_string(p.bits) +
+              "base" + std::to_string(p.base);
+      return name;
     });
 
 TEST(ElAnsary, ChildrenCountsVaryUnlikeCam) {

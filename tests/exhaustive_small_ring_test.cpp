@@ -87,8 +87,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{2, 6, 4, 4, 7}),
     [](const auto& info) {
       const Param& p = info.param;
-      return "n" + std::to_string(p.n) + "b" + std::to_string(p.bits) + "c" +
-             std::to_string(p.cap_lo) + "to" + std::to_string(p.cap_hi);
+      std::string name = "n";
+      name += std::to_string(p.n) + "b" + std::to_string(p.bits) + "c" +
+              std::to_string(p.cap_lo) + "to" + std::to_string(p.cap_hi);
+      return name;
     });
 
 }  // namespace

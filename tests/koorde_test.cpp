@@ -107,8 +107,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{1000, 19, 32}),
     [](const auto& info) {
       const auto& p = info.param;
-      return "n" + std::to_string(p.n) + "b" + std::to_string(p.bits) + "deg" +
-             std::to_string(p.deg);
+      std::string name = "n";
+      name += std::to_string(p.n) + "b" + std::to_string(p.bits) + "deg" +
+              std::to_string(p.deg);
+      return name;
     });
 
 }  // namespace
