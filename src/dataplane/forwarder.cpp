@@ -52,11 +52,9 @@ Forwarder::Forwarder(const LatencyModel& latency,
           Link{index.at(m.id), latency_.latency(m.id, m.parent), {}, 0, 0});
     }
   }
-  const auto by_child = [](const Link& a, const Link& b) {
-    return a.child < b.child;
-  };
   for (Node& n : nodes_) {
-    std::sort(n.links.begin(), n.links.end(), by_child);
+    std::sort(n.links.begin(), n.links.end(),
+              [](const Link& a, const Link& b) { return a.child < b.child; });
     n.links.erase(std::unique(n.links.begin(), n.links.end(),
                               [](const Link& a, const Link& b) {
                                 return a.child == b.child;
@@ -95,8 +93,9 @@ Forwarder::Forwarder(const LatencyModel& latency,
       m.parent = static_cast<std::uint32_t>(pit - s.members.begin());
       m.parent_latency_ms = latency_.latency(sm.parent, sm.id);
       const std::vector<Link>& links = nodes_[index.at(sm.parent)].links;
-      const auto lit = std::lower_bound(links.begin(), links.end(),
-                                        Link{m.node, 0, {}, 0, 0}, by_child);
+      const auto lit = std::lower_bound(
+          links.begin(), links.end(), m.node,
+          [](const Link& l, std::uint32_t child) { return l.child < child; });
       g.members[m.parent].links.push_back(
           MemberLink{static_cast<std::uint32_t>(lit - links.begin()),
                      static_cast<std::uint32_t>(k)});

@@ -305,12 +305,11 @@ class Forwarder {
     SimTime parent_latency_ms = 0;
     std::vector<MemberLink> links;  // ascending child id
     double rate_kbps = 0;  // serving rate: B_x, or the ledger share
-    // Per-group admission state (flags climb this group's tree).
-    std::uint32_t congested_children = 0;
-    // Measurement.
+    std::uint32_t congested_children = 0;  // admission: flagged children
     std::uint32_t delivered = 0;
     std::uint32_t frozen_delivered = 0;  // delivered count at crash time
     bool vtx_busy = false;  // kLedgerShares transmitter
+    // Per-group admission state (flags climb this group's tree).
     bool own_congested = false;
     bool flag_sent = false;
     /// What the parent last heard from this member (set/clear), so a
@@ -329,9 +328,10 @@ class Forwarder {
     SimTime gen_interval = 0;
     std::uint32_t source = 0;  // member slot
     std::vector<Member> members;
-    FlatMap<std::uint32_t, std::uint32_t> slot_of;  // node -> slot, or
-                                                    // empty when slot == node
-    std::vector<std::uint64_t> delivered_bits;      // per slot, per seq
+    /// Node index -> member slot; empty when the group spans every node
+    /// and slot i is node i.
+    FlatMap<std::uint32_t, std::uint32_t> slot_of;
+    std::vector<std::uint64_t> delivered_bits;  // per slot, per seq
     std::size_t words_per_member = 0;
     std::vector<SimTime> emit_ms;  // source emission time per seq
     /// kLedgerShares: (member slot, link) of pruned links that may still

@@ -1,15 +1,18 @@
 // HostBus binding for the data plane's depth advertisements.
 //
-// The BackpressureForwarder's default depth transport is an oracle: the
-// child's backlog value rides inside the forwarder's own simulation
-// event. This class replaces it with the asynchronous stack's queue-depth
-// piggyback (host_bus.h, DESIGN.md §11): at every report tick the child
+// Depth reports belong to the one-tree plane (a BackpressureForwarder
+// with backpressure on; DESIGN.md §11). Their default transport is an
+// oracle: the child's backlog value rides inside the forwarder's own
+// event. This class replaces it with the asynchronous stack's
+// queue-depth piggyback (host_bus.h): at every report tick the child
 // publishes its backlog via HostBus::set_local_depth and posts one small
 // heartbeat datagram to its parent; the depth snapshot rides the
 // datagram, and the parent's view is whatever HostBus::advertised_depth
 // has actually *delivered* — subject to the bus's loss, shaping, and
-// latency. Over a lossless bus driven by the same LatencyModel as the
-// forwarder, the delivered value and its timing are identical to the
+// latency. The forwarder keeps its own event heap, so the hooks'
+// advance() runs the bus's Simulator up to the forwarder's clock before
+// each sample. Over a lossless bus driven by the same LatencyModel as
+// the forwarder, the delivered value and its timing are identical to the
 // oracle's, which tests/dataplane_piggyback_test.cpp pins by comparing
 // whole ForwardStats.
 //
