@@ -13,125 +13,17 @@
 // Move-only by design: an event executes exactly once, and the engine
 // moves it through wheel slots; copyability would force every capture to
 // be copyable and invite accidental double-run semantics.
+//
+// The inline capacity is ≥ 48 by design contract and 96 in practice, so
+// the bus delivery closure (this + from + to + proto::Message) stays
+// inline; tests/inline_action_test.cpp static-asserts it against the hot
+// closures.
 #pragma once
 
-#include <cstddef>
-#include <new>
-#include <type_traits>
-#include <utility>
+#include "util/inline_func.h"
 
 namespace cam {
 
-class InlineAction {
- public:
-  /// Inline capture capacity. ≥ 48 by design contract; 96 in practice so
-  /// the bus delivery closure (this + from + to + proto::Message) stays
-  /// inline. Static-asserted against the hot closures in the probe test.
-  static constexpr std::size_t kInlineSize = 96;
-
-  InlineAction() noexcept = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InlineAction> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  InlineAction(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &inline_ops<Fn>;
-    } else {
-      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &heap_ops<Fn>;
-    }
-  }
-
-  InlineAction(InlineAction&& other) noexcept : ops_(other.ops_) {
-    if (ops_ != nullptr) {
-      ops_->relocate(other.buf_, buf_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  InlineAction& operator=(InlineAction&& other) noexcept {
-    if (this != &other) {
-      reset();
-      ops_ = other.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(other.buf_, buf_);
-        other.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
-
-  InlineAction(const InlineAction&) = delete;
-  InlineAction& operator=(const InlineAction&) = delete;
-
-  ~InlineAction() { reset(); }
-
-  explicit operator bool() const noexcept { return ops_ != nullptr; }
-
-  void operator()() { ops_->invoke(buf_); }
-
-  /// True when callables of type F are stored inline (no allocation).
-  template <typename F>
-  static constexpr bool stored_inline() {
-    return fits_inline<std::decay_t<F>>();
-  }
-
- private:
-  template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineSize &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
-
-  struct Ops {
-    void (*invoke)(unsigned char*);
-    // Move-construct into `dst` from `src`, then destroy `src`. The
-    // engine relocates events between wheel slots and the active heap;
-    // fusing move + destroy halves the virtual dispatch on that path.
-    void (*relocate)(unsigned char* src, unsigned char* dst);
-    void (*destroy)(unsigned char*);
-  };
-
-  template <typename Fn>
-  static constexpr Ops inline_ops = {
-      [](unsigned char* b) { (*std::launder(reinterpret_cast<Fn*>(b)))(); },
-      [](unsigned char* src, unsigned char* dst) {
-        Fn* s = std::launder(reinterpret_cast<Fn*>(src));
-        ::new (static_cast<void*>(dst)) Fn(std::move(*s));
-        s->~Fn();
-      },
-      [](unsigned char* b) { std::launder(reinterpret_cast<Fn*>(b))->~Fn(); },
-  };
-
-  template <typename Fn>
-  static constexpr Ops heap_ops = {
-      [](unsigned char* b) {
-        (**std::launder(reinterpret_cast<Fn**>(b)))();
-      },
-      [](unsigned char* src, unsigned char* dst) {
-        Fn** s = std::launder(reinterpret_cast<Fn**>(src));
-        ::new (static_cast<void*>(dst)) Fn*(*s);
-        // The pointer moved; nothing to destroy at the source.
-      },
-      [](unsigned char* b) {
-        delete *std::launder(reinterpret_cast<Fn**>(b));
-      },
-  };
-
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
-
-  alignas(std::max_align_t) unsigned char buf_[kInlineSize];
-  const Ops* ops_ = nullptr;
-};
+using InlineAction = InlineFunc<void(), 96>;
 
 }  // namespace cam

@@ -1,14 +1,15 @@
-// InlineFunc: InlineAction's technique (sim/inline_action.h) generalized
-// to arbitrary signatures and a per-use capacity. The async RPC layer
+// InlineFunc: a move-only std::function replacement that stores its
+// callable in a Cap-byte inline buffer. The event engine's InlineAction
+// (sim/inline_action.h) is InlineFunc<void(), 96>. The async RPC layer
 // keeps one reply continuation and one timeout continuation per pending
 // call; with std::function both heap-allocate as soon as a capture
 // exceeds two pointers, which put 2+ allocations on every RPC round
 // trip. InlineFunc<void(const Reply&), 56> stores those captures in the
 // Pending record itself — RPC steady state stops touching the heap.
 //
-// Same contract as InlineAction: move-only (a continuation fires at most
-// once and is moved through flat tables), inline up to Cap bytes,
-// transparent heap fallback beyond so the type stays a drop-in.
+// Move-only (a callable fires at most once and is moved through wheel
+// slots and flat tables), inline up to Cap bytes, transparent heap
+// fallback beyond so the type stays a drop-in.
 #pragma once
 
 #include <cstddef>
@@ -89,8 +90,9 @@ class InlineFunc<R(Args...), Cap> {
 
   struct Ops {
     R (*invoke)(unsigned char*, Args&&...);
-    // Move-construct into `dst` from `src`, then destroy `src` (one
-    // dispatch per flat-table relocation, as in InlineAction).
+    // Move-construct into `dst` from `src`, then destroy `src`. The
+    // engine relocates events between wheel slots and the active heap;
+    // fusing move + destroy halves the virtual dispatch on that path.
     void (*relocate)(unsigned char* src, unsigned char* dst);
     void (*destroy)(unsigned char*);
   };
