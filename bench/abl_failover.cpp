@@ -22,12 +22,12 @@
 // re-placement on median detect->reattach latency and does no worse on
 // delivery gaps. --json emits rows for scripts/bench.sh.
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "fault/session_chaos.h"
+#include "runtime/flags.h"
 #include "workload/session_workload.h"
 
 int main(int argc, char** argv) {
@@ -37,21 +37,16 @@ int main(int argc, char** argv) {
   std::size_t jobs = 4;
   std::size_t seeds = 8;
   std::size_t n = 128;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = static_cast<std::size_t>(std::atoi(argv[i] + 7));
-    } else if (std::strncmp(argv[i], "--seeds=", 8) == 0) {
-      seeds = static_cast<std::size_t>(std::atoi(argv[i] + 8));
-    } else if (std::strncmp(argv[i], "--n=", 4) == 0) {
-      n = static_cast<std::size_t>(std::atoi(argv[i] + 4));
-    } else {
-      std::fprintf(stderr,
-                   "usage: abl_failover [--json] [--jobs=J] [--seeds=S] "
-                   "[--n=N]\n");
-      return 2;
-    }
+  runtime::FlagSet flags;
+  flags.add_switch("json", "emit rows as JSON", &json);
+  flags.add("jobs", "sweep workers (0 = all cores)", &jobs);
+  flags.add("seeds", "seeds per (system, arm)", &seeds);
+  flags.add("n", "overlay population", &n);
+  std::string error;
+  if (!flags.parse(argc, argv, 1, &error)) {
+    std::fprintf(stderr, "abl_failover: %s\nflags:\n%s", error.c_str(),
+                 flags.usage().c_str());
+    return 2;
   }
 
   // Regional-burst workload: a zipf fleet with churn and two correlated
