@@ -121,7 +121,7 @@ LookupResult CamChordNet::lookup(Id from, Id target) const {
   if (!alive(from)) return res;
   res.path.push_back(from);
   Id x = from;
-  for (std::size_t hop = 0; hop <= cfg_.max_lookup_hops; ++hop) {
+  for (std::size_t hop = 0; hop <= kSyncMaxLookupHops; ++hop) {
     if (target == x) {
       res.owner = x;
       res.ok = true;
@@ -180,7 +180,7 @@ MulticastTree CamChordNet::multicast(Id source) {
     if (!alive(x) || k == x) return;
     multicast_children(x, k, scratch, [&](Id ch, Id bound) {
       net_.send(
-          x, ch, cfg_.multicast_payload_bytes,
+          x, ch, kMulticastPayloadBytes,
           [this, &tree, &self, x, ch, bound, depth] {
             if (!alive(ch)) return;  // failed while the message was in flight
             if (!tree.record(x, ch, depth + 1, net_.sim().now())) return;

@@ -27,8 +27,7 @@ namespace cam::camchord {
 
 class CamChordNet final : public RingOverlayNet {
  public:
-  CamChordNet(RingSpace ring, Network& net, RingNetConfig cfg = {})
-      : RingOverlayNet(ring, net, cfg) {}
+  CamChordNet(RingSpace ring, Network& net) : RingOverlayNet(ring, net) {}
 
   /// LOOKUP(target) from member `from` through current routing tables.
   LookupResult lookup(Id from, Id target) const override;

@@ -106,7 +106,7 @@ LookupResult CamKoordeNet::lookup(Id from, Id target) const {
   Id x = from;
   Id cursor = from;
   bool ring_walk = false;
-  for (std::size_t hop = 0; hop <= cfg_.max_lookup_hops; ++hop) {
+  for (std::size_t hop = 0; hop <= kSyncMaxLookupHops; ++hop) {
     const BaseState& st = base(x);
     Id succ = live_successor(st);
     const bool has_pred = st.pred && alive(*st.pred);
@@ -154,7 +154,7 @@ LookupResult CamKoordeNet::lookup(Id from, Id target) const {
     // derived cursor (the entry covers x's derivation, which sits at or
     // clockwise-after the cursor's derivation).
     Id y = *next;
-    std::size_t walk_budget = cfg_.successor_list_len * 4;
+    std::size_t walk_budget = kSuccessorListLen * 4;
     while (walk_budget-- > 0) {
       const BaseState& ys = base(y);
       const bool y_has_pred = ys.pred && alive(*ys.pred);
@@ -200,7 +200,7 @@ MulticastTree CamKoordeNet::multicast(Id source) {
       }
       in_flight.insert(y);
       net_.send(
-          x, y, cfg_.multicast_payload_bytes,
+          x, y, kMulticastPayloadBytes,
           [this, &tree, &in_flight, &self, x, y, depth] {
             in_flight.erase(y);
             if (!alive(y)) return;

@@ -21,8 +21,7 @@ namespace cam::camkoorde {
 
 class CamKoordeNet final : public RingOverlayNet {
  public:
-  CamKoordeNet(RingSpace ring, Network& net, RingNetConfig cfg = {})
-      : RingOverlayNet(ring, net, cfg) {}
+  CamKoordeNet(RingSpace ring, Network& net) : RingOverlayNet(ring, net) {}
 
   LookupResult lookup(Id from, Id target) const override;
 

@@ -10,6 +10,19 @@ namespace cam::dataplane {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Minimum gradient advantage (ms of serialization backlog) before
+/// service order deviates from FIFO or a copy is delegated. Zero
+/// hysteresis would flap on ties; ties always fall back to the
+/// recorded tree order.
+constexpr double kHysteresisMs = 2.0;
+/// Congestion slack (ms) past one full fan-out burst. One copy per
+/// child is what a node holds right after any packet arrives — normal
+/// operation, served pure FIFO. Only when backlog exceeds
+/// burst + slack do gradient deviation and duty shedding activate.
+constexpr double kDelegationSlackMs = 8.0;
+/// Cadence of child -> parent uplink-backlog advertisements.
+constexpr double kDepthReportIntervalMs = 20.0;
 }  // namespace
 
 Forwarder::Forwarder(const LatencyModel& latency,
@@ -257,8 +270,8 @@ void Forwarder::serve_shared(std::uint32_t node, SimTime now) {
     // is normal operation — a node that has just received a packet holds
     // exactly that much. Upstream queueing can also bunch two packets
     // closer than the pacing interval, transiently stacking a second
-    // burst, so only backlog in EXCESS of two full bursts (plus the
-    // configured slack) marks the uplink congested; until then the
+    // burst, so only backlog in EXCESS of two full bursts (plus
+    // kDelegationSlackMs) marks the uplink congested; until then the
     // service order is pure FIFO, which is what keeps the uncongested
     // backpressure schedule bit-identical to the FIFO plane. A real
     // hotspot grows without bound and clears the gate regardless.
@@ -266,7 +279,7 @@ void Forwarder::serve_shared(std::uint32_t node, SimTime now) {
     if (cfg_.backpressure) {
       const double burst_ms = static_cast<double>(n.links.size()) *
                               (groups_[0].packet_kbit / n.kbps * 1000.0);
-      congested_here = my_backlog > 2.0 * burst_ms + cfg_.delegation_ms;
+      congested_here = my_backlog > 2.0 * burst_ms + kDelegationSlackMs;
     }
 
     int chosen_q = fifo_q;
@@ -297,7 +310,7 @@ void Forwarder::serve_shared(std::uint32_t node, SimTime now) {
         }
       }
       if (best_q >= -1 && best_q != fifo_q &&
-          best_grad > gradient(fifo_q) + cfg_.hysteresis_ms) {
+          best_grad > gradient(fifo_q) + kHysteresisMs) {
         chosen_q = best_q;
         chosen = n.links[static_cast<std::size_t>(best_q)]
                      .queue.peek_pressure();
@@ -350,7 +363,7 @@ void Forwarder::serve_shared(std::uint32_t node, SimTime now) {
           best_l = static_cast<int>(i);
         }
       }
-      if (best_l >= 0 && best_est + cfg_.hysteresis_ms < my_backlog) {
+      if (best_l >= 0 && best_est + kHysteresisMs < my_backlog) {
         QueuedCopy copy = pop_chosen();
         Link& helper = n.links[static_cast<std::size_t>(best_l)];
         helper.delegated_since_bytes += bytes;
@@ -482,7 +495,7 @@ void Forwarder::depth_report(const Event& e) {
   adv.aux = std::bit_cast<std::uint64_t>(backlog);
   push_event(adv);
   Event next = e;
-  next.time = e.time + cfg_.depth_report_interval_ms;
+  next.time = e.time + kDepthReportIntervalMs;
   push_event(next);
 }
 
@@ -681,7 +694,7 @@ MultiGroupStats Forwarder::run(const std::vector<GroupTraffic>& traffic,
     for (std::uint32_t v = 0; v < nodes_.size(); ++v) {
       if (v == groups_[0].source) continue;
       Event e;
-      e.time = cfg_.depth_report_interval_ms;
+      e.time = kDepthReportIntervalMs;
       e.kind = EventKind::kDepthReport;
       e.node = v;
       push_event(e);

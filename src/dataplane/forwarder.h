@@ -82,16 +82,6 @@ struct ForwarderConfig {
   /// depth reports); true = congestion-gradient forwarding. One-group
   /// planes only.
   bool backpressure = true;
-  /// Minimum gradient advantage (ms of serialization backlog) before
-  /// service order deviates from FIFO or a copy is delegated. Zero
-  /// hysteresis would flap on ties; ties always fall back to the
-  /// recorded tree order.
-  double hysteresis_ms = 2.0;
-  /// Congestion slack (ms) past one full fan-out burst. One copy per
-  /// child is what a node holds right after any packet arrives — normal
-  /// operation, served pure FIFO. Only when backlog exceeds
-  /// burst + slack do gradient deviation and duty shedding activate.
-  double delegation_ms = 8.0;
   /// Source admission watermarks (ms of backlog). 0 disables admission
   /// control; otherwise emission pauses while any node in the tree
   /// reports backlog above `admission_high_ms` and resumes once the
@@ -102,8 +92,6 @@ struct ForwarderConfig {
   /// is zombied instead of transmitted. 0 = no deadline. One-group
   /// planes only.
   double deadline_ms = 0;
-  /// Cadence of child -> parent uplink-backlog advertisements.
-  double depth_report_interval_ms = 20.0;
 };
 
 /// External transport for child -> parent backlog advertisements

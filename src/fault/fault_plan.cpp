@@ -1,42 +1,11 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "util/num_text.h"
+
 namespace cam::fault {
-
-namespace {
-
-// %g keeps integers free of trailing zeros and round-trips the SimTime
-// and probability values used in plans, so to_string/parse is exact.
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
-}
-
-bool parse_double(const std::string& s, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(s, &used);
-    return used == s.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(s, &used);
-    return used == s.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-}  // namespace
 
 const char* kind_name(FaultKind k) {
   switch (k) {
@@ -57,18 +26,18 @@ const char* kind_name(FaultKind k) {
 
 std::string FaultEvent::to_string() const {
   std::ostringstream os;
-  os << "at " << num(at_ms) << " " << kind_name(kind);
+  os << "at " << format_g(at_ms) << " " << kind_name(kind);
   switch (kind) {
     case FaultKind::kDrop:
-      os << " p=" << num(p);
+      os << " p=" << format_g(p);
       if (has_link) os << " link=" << a << ":" << b;
       break;
     case FaultKind::kDuplicate:
-      os << " p=" << num(p) << " copies=" << count;
+      os << " p=" << format_g(p) << " copies=" << count;
       break;
     case FaultKind::kDelay:
     case FaultKind::kReorder:
-      os << " p=" << num(p) << " ms=" << num(ms);
+      os << " p=" << format_g(p) << " ms=" << format_g(ms);
       break;
     case FaultKind::kPartition:
       if (!hosts.empty()) {
@@ -78,7 +47,7 @@ std::string FaultEvent::to_string() const {
           os << hosts[i];
         }
       } else {
-        os << " frac=" << num(frac);
+        os << " frac=" << format_g(frac);
       }
       break;
     case FaultKind::kCrash:
@@ -87,7 +56,7 @@ std::string FaultEvent::to_string() const {
       os << " n=" << count;
       break;
     case FaultKind::kRegionFail:
-      os << " center=" << a << " radius=" << num(radius)
+      os << " center=" << a << " radius=" << format_g(radius)
          << " n=" << count;
       break;
     case FaultKind::kHeal:
@@ -257,7 +226,7 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& text,
       return fail(lineno, "expected 'at <ms> <kind> ...'");
     }
     FaultEvent e;
-    if (!parse_double(tok[1], e.at_ms) || e.at_ms < 0) {
+    if (!parse_finite(tok[1], e.at_ms) || e.at_ms < 0) {
       return fail(lineno, "bad time '" + tok[1] + "'");
     }
     const std::string& kind = tok[2];
@@ -274,24 +243,24 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& text,
       const std::string key = tok[i].substr(0, eq);
       const std::string val = tok[i].substr(eq + 1);
       if (key == "p") {
-        if (!parse_double(val, e.p) || e.p < 0 || e.p > 1) {
+        if (!parse_finite(val, e.p) || e.p < 0 || e.p > 1) {
           return fail(lineno, "bad probability '" + val + "'");
         }
         saw_p = true;
       } else if (key == "ms") {
-        if (!parse_double(val, e.ms) || e.ms < 0) {
+        if (!parse_finite(val, e.ms) || e.ms < 0) {
           return fail(lineno, "bad ms '" + val + "'");
         }
         saw_ms = true;
       } else if (key == "n" || key == "copies") {
         std::uint64_t v = 0;
-        if (!parse_u64(val, v) || v == 0 || v > 1'000'000) {
+        if (!parse_unsigned(val, v) || v == 0 || v > 1'000'000) {
           return fail(lineno, "bad count '" + val + "'");
         }
         e.count = static_cast<int>(v);
         (key == "n" ? saw_n : saw_copies) = true;
       } else if (key == "frac") {
-        if (!parse_double(val, e.frac) || e.frac <= 0 || e.frac >= 1) {
+        if (!parse_finite(val, e.frac) || e.frac <= 0 || e.frac >= 1) {
           return fail(lineno, "bad fraction '" + val + "' (need 0<f<1)");
         }
         saw_frac = true;
@@ -299,7 +268,7 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& text,
         std::istringstream vs(val);
         for (std::string part; std::getline(vs, part, ',');) {
           std::uint64_t id = 0;
-          if (!parse_u64(part, id)) {
+          if (!parse_unsigned(part, id)) {
             return fail(lineno, "bad id '" + part + "'");
           }
           e.hosts.push_back(id);
@@ -308,13 +277,13 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& text,
         saw_ids = true;
       } else if (key == "center") {
         std::uint64_t id = 0;
-        if (!parse_u64(val, id)) {
+        if (!parse_unsigned(val, id)) {
           return fail(lineno, "bad center '" + val + "'");
         }
         e.a = id;
         saw_center = true;
       } else if (key == "radius") {
-        if (!parse_double(val, e.radius) || e.radius <= 0 ||
+        if (!parse_finite(val, e.radius) || e.radius <= 0 ||
             e.radius > 0.5) {
           return fail(lineno, "bad radius '" + val + "' (need 0<f<=0.5)");
         }
@@ -323,8 +292,8 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& text,
         auto colon = val.find(':');
         std::uint64_t from = 0, to = 0;
         if (colon == std::string::npos ||
-            !parse_u64(val.substr(0, colon), from) ||
-            !parse_u64(val.substr(colon + 1), to)) {
+            !parse_unsigned(val.substr(0, colon), from) ||
+            !parse_unsigned(val.substr(colon + 1), to)) {
           return fail(lineno, "bad link '" + val + "' (need from:to)");
         }
         e.has_link = true;

@@ -1,7 +1,8 @@
 #include "fault/injector.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "util/num_text.h"
 
 namespace cam::fault {
 
@@ -9,14 +10,9 @@ namespace {
 
 using telemetry::EventType;
 
-// Fixed-format double: round-trips the SimTime/probability values used
-// here and renders identically across runs, which the journal's
-// byte-comparability depends on.
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
-}
+// Upload bandwidth range of spawned nodes (paper Section 6).
+constexpr double kSpawnBwLoKbps = 400;
+constexpr double kSpawnBwHiKbps = 1000;
 
 // Short payload-kind tag so the journal says which message a fault ate.
 const char* msg_kind(const proto::Message& msg) {
@@ -65,7 +61,7 @@ void FaultInjector::shape(Id from, Id to, const proto::Message& msg,
   if (partition_active_ &&
       side_a_.contains(from) != side_a_.contains(to)) {
     ++drops_;
-    note("t=" + num(now) + " drop(partition) " + msg_kind(msg) + " " +
+    note("t=" + format_g(now) + " drop(partition) " + msg_kind(msg) + " " +
          link_str(from, to));
     tel.trace(EventType::kFaultDrop, now, from, to, bytes,
               static_cast<std::uint64_t>(cls));
@@ -82,7 +78,7 @@ void FaultInjector::shape(Id from, Id to, const proto::Message& msg,
   }
   if (p > 0 && rng_.chance(p)) {
     ++drops_;
-    note("t=" + num(now) + " drop " + msg_kind(msg) + " " +
+    note("t=" + format_g(now) + " drop " + msg_kind(msg) + " " +
          link_str(from, to));
     tel.trace(EventType::kFaultDrop, now, from, to, bytes,
               static_cast<std::uint64_t>(cls));
@@ -96,7 +92,7 @@ void FaultInjector::shape(Id from, Id to, const proto::Message& msg,
       delays.push_back(rng_.next_double() * dup_spread_ms_);
     }
     ++dups_;
-    note("t=" + num(now) + " dup " + msg_kind(msg) + " " +
+    note("t=" + format_g(now) + " dup " + msg_kind(msg) + " " +
          link_str(from, to) + " copies=" + std::to_string(dup_copies_));
     tel.trace(EventType::kFaultDuplicate, now, from, to,
               static_cast<std::uint64_t>(dup_copies_),
@@ -112,8 +108,8 @@ void FaultInjector::shape(Id from, Id to, const proto::Message& msg,
   if (extra > 0) {
     delays.front() += extra;
     ++delays_;
-    note("t=" + num(now) + " stretch " + msg_kind(msg) + " " +
-         link_str(from, to) + " ms=" + num(extra));
+    note("t=" + format_g(now) + " stretch " + msg_kind(msg) + " " +
+         link_str(from, to) + " ms=" + format_g(extra));
     tel.trace(EventType::kFaultDelay, now, from, to,
               static_cast<std::uint64_t>(extra),
               static_cast<std::uint64_t>(cls));
@@ -179,7 +175,7 @@ void FaultInjector::apply(const FaultEvent& e) {
 
 void FaultInjector::set_drop(double p) {
   drop_p_ = p;
-  note("t=" + num(overlay_.sim().now()) + " set drop p=" + num(p));
+  note("t=" + format_g(overlay_.sim().now()) + " set drop p=" + format_g(p));
 }
 
 void FaultInjector::set_link_drop(Id from, Id to, double p) {
@@ -188,35 +184,35 @@ void FaultInjector::set_link_drop(Id from, Id to, double p) {
   } else {
     link_drop_[{from, to}] = p;
   }
-  note("t=" + num(overlay_.sim().now()) + " set drop p=" + num(p) +
+  note("t=" + format_g(overlay_.sim().now()) + " set drop p=" + format_g(p) +
        " link=" + link_str(from, to));
 }
 
 void FaultInjector::set_duplicate(double p, int copies) {
   dup_p_ = p;
   dup_copies_ = std::max(copies, 1);
-  note("t=" + num(overlay_.sim().now()) + " set dup p=" + num(p) +
+  note("t=" + format_g(overlay_.sim().now()) + " set dup p=" + format_g(p) +
        " copies=" + std::to_string(dup_copies_));
 }
 
 void FaultInjector::set_delay(double p, SimTime extra_ms) {
   delay_p_ = p;
   delay_ms_ = extra_ms;
-  note("t=" + num(overlay_.sim().now()) + " set delay p=" + num(p) +
-       " ms=" + num(extra_ms));
+  note("t=" + format_g(overlay_.sim().now()) + " set delay p=" + format_g(p) +
+       " ms=" + format_g(extra_ms));
 }
 
 void FaultInjector::set_reorder(double p, SimTime window_ms) {
   reorder_p_ = p;
   reorder_window_ms_ = window_ms;
-  note("t=" + num(overlay_.sim().now()) + " set reorder p=" + num(p) +
-       " ms=" + num(window_ms));
+  note("t=" + format_g(overlay_.sim().now()) + " set reorder p=" + format_g(p) +
+       " ms=" + format_g(window_ms));
 }
 
 void FaultInjector::partition_fraction(double frac) {
   std::vector<Id> live = overlay_.members_sorted();
   if (live.size() < 2) {
-    note("t=" + num(overlay_.sim().now()) + " partition skipped (size<2)");
+    note("t=" + format_g(overlay_.sim().now()) + " partition skipped (size<2)");
     return;
   }
   auto side = static_cast<std::size_t>(
@@ -242,7 +238,7 @@ void FaultInjector::partition_hosts(std::vector<Id> side_a) {
     ids += std::to_string(id);
   }
   const SimTime now = overlay_.sim().now();
-  note("t=" + num(now) + " partition sideA=[" + ids + "] sideB=" +
+  note("t=" + format_g(now) + " partition sideA=[" + ids + "] sideB=" +
        std::to_string(b_side));
   overlay_.telemetry().trace(EventType::kFaultPartition, now, 0, 0,
                              side_a_.size(), b_side);
@@ -257,7 +253,7 @@ void FaultInjector::heal() {
   }
   partition_active_ = false;
   side_a_.clear();
-  note("t=" + num(now) + " heal");
+  note("t=" + format_g(now) + " heal");
 }
 
 void FaultInjector::clear() {
@@ -267,7 +263,7 @@ void FaultInjector::clear() {
   dup_p_ = 0;
   delay_p_ = 0;
   reorder_p_ = 0;
-  note("t=" + num(overlay_.sim().now()) + " clear");
+  note("t=" + format_g(overlay_.sim().now()) + " clear");
 }
 
 Id FaultInjector::fresh_id() {
@@ -290,12 +286,10 @@ std::vector<Id> FaultInjector::pick_live(int count) {
   return live;
 }
 
-NodeInfo FaultInjector::spawn_info() {
+NodeInfo spawn_info(const SpawnProfile& profile, Rng& rng) {
   return NodeInfo{
-      static_cast<std::uint32_t>(
-          rng_.uniform(profile_.cap_lo, profile_.cap_hi)),
-      profile_.bw_lo_kbps +
-          rng_.next_double() * (profile_.bw_hi_kbps - profile_.bw_lo_kbps)};
+      static_cast<std::uint32_t>(rng.uniform(profile.cap_lo, profile.cap_hi)),
+      kSpawnBwLoKbps + rng.next_double() * (kSpawnBwHiKbps - kSpawnBwLoKbps)};
 }
 
 void FaultInjector::crash_wave(int count) {
@@ -304,12 +298,12 @@ void FaultInjector::crash_wave(int count) {
   const int can = live > 2 ? static_cast<int>(live - 2) : 0;
   const int n = std::min(count, can);
   if (n < count) {
-    note("t=" + num(overlay_.sim().now()) + " crash clamped " +
+    note("t=" + format_g(overlay_.sim().now()) + " crash clamped " +
          std::to_string(count) + "->" + std::to_string(n));
   }
   for (Id victim : pick_live(n)) {
     overlay_.crash(victim);
-    note("t=" + num(overlay_.sim().now()) + " crash node=" +
+    note("t=" + format_g(overlay_.sim().now()) + " crash node=" +
          std::to_string(victim));
   }
 }
@@ -331,14 +325,14 @@ void FaultInjector::region_fail_wave(Id center, double radius, int count) {
   const int can = live > 2 ? static_cast<int>(live - 2) : 0;
   int n = std::min(count, can);
   if (n < count) {
-    note("t=" + num(overlay_.sim().now()) + " regionfail clamped " +
+    note("t=" + format_g(overlay_.sim().now()) + " regionfail clamped " +
          std::to_string(count) + "->" + std::to_string(n));
   }
   for (Id victim : ordered) {
     if (n <= 0) break;
     if (ring.distance(victim, center) > blast) break;
     overlay_.crash(victim);
-    note("t=" + num(overlay_.sim().now()) + " regionfail node=" +
+    note("t=" + format_g(overlay_.sim().now()) + " regionfail node=" +
          std::to_string(victim) + " center=" + std::to_string(center));
     --n;
   }
@@ -354,9 +348,9 @@ void FaultInjector::restart_wave(int count) {
     if (contacts.empty()) break;
     Id contact = contacts[rng_.next_below(contacts.size())];
     Id fresh = fresh_id();
-    NodeInfo info = spawn_info();
+    NodeInfo info = spawn_info(profile_, rng_);
     overlay_.spawn(fresh, info, contact);
-    note("t=" + num(overlay_.sim().now()) + " restart node=" +
+    note("t=" + format_g(overlay_.sim().now()) + " restart node=" +
          std::to_string(victim) + " -> node=" + std::to_string(fresh) +
          " via=" + std::to_string(contact) + " cap=" +
          std::to_string(info.capacity));
@@ -369,9 +363,9 @@ void FaultInjector::join_wave(int count) {
     if (contacts.empty()) break;
     Id contact = contacts[rng_.next_below(contacts.size())];
     Id fresh = fresh_id();
-    NodeInfo info = spawn_info();
+    NodeInfo info = spawn_info(profile_, rng_);
     overlay_.spawn(fresh, info, contact);
-    note("t=" + num(overlay_.sim().now()) + " join node=" +
+    note("t=" + format_g(overlay_.sim().now()) + " join node=" +
          std::to_string(fresh) + " via=" + std::to_string(contact) +
          " cap=" + std::to_string(info.capacity));
   }

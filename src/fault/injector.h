@@ -32,14 +32,16 @@
 
 namespace cam::fault {
 
-/// Capacity/bandwidth envelope for nodes the injector spawns (join and
-/// restart waves).
+/// Capacity range for nodes the injector spawns (join and restart
+/// waves).
 struct SpawnProfile {
   std::uint32_t cap_lo = 4;
   std::uint32_t cap_hi = 10;
-  double bw_lo_kbps = 400;
-  double bw_hi_kbps = 1000;
 };
+
+/// One spawned node's attributes: a uniform capacity in the profile's
+/// range, then a uniform upload bandwidth in the paper's Section 6 range.
+NodeInfo spawn_info(const SpawnProfile& profile, Rng& rng);
 
 class FaultInjector {
  public:
@@ -102,7 +104,6 @@ class FaultInjector {
   /// `count` distinct live members, rng-chosen (partial Fisher-Yates
   /// over the sorted member list, so the draw is deterministic).
   std::vector<Id> pick_live(int count);
-  NodeInfo spawn_info();
 
   proto::AsyncOverlayNet& overlay_;
   Rng rng_;

@@ -1,7 +1,6 @@
 #include "fault/session_chaos.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
@@ -11,16 +10,27 @@
 #include "session/failover.h"
 #include "strategy/strategy.h"
 #include "telemetry/trace.h"
+#include "util/num_text.h"
 #include "workload/population.h"
 
 namespace cam::fault {
 
 namespace {
 
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
+/// Invariant sweep cadence: full SessionLayer::check() every this many
+/// applied events (and always once at the end).
+constexpr std::size_t kCheckEvery = 32;
+/// Heartbeat schedule jitter, as a fraction of the period.
+constexpr double kHbJitter = 0.5;
+/// Reattach cost model: a standby re-hang costs one control RTT; full
+/// placement and re-admission cost (lookup_hops + 1) hop RTTs.
+constexpr double kStandbyRttMs = 2.0;
+constexpr double kHopRttMs = 2.0;
+
+SimTime reattach_cost_ms(const session::ReattachRecord& r) {
+  return r.how == session::ReattachRecord::How::kStandby
+             ? kStandbyRttMs
+             : static_cast<double>(r.lookup_hops + 1) * kHopRttMs;
 }
 
 const strategy::MulticastStrategy& parse_system(const std::string& s) {
@@ -28,15 +38,6 @@ const strategy::MulticastStrategy& parse_system(const std::string& s) {
   // back to CAM-Chord (the historical default for unknown names).
   return strategy::registry().make(s == "camkoorde" ? "camkoorde"
                                                     : "camchord");
-}
-
-void merge(session::ApplyStats& into, const session::ApplyStats& part) {
-  into.creates += part.creates;
-  into.joins_ok += part.joins_ok;
-  into.joins_rejected += part.joins_rejected;
-  into.leaves += part.leaves;
-  into.noop_leaves += part.noop_leaves;
-  into.fails += part.fails;
 }
 
 /// Wraps SessionLayer::check() lines into Violations, tagged with how
@@ -63,9 +64,9 @@ class DetectReplay {
   DetectReplay(const SessionChaosConfig& cfg, session::SessionLayer& layer,
                SessionChaosReport& rep, telemetry::Tracer& tracer,
                telemetry::Registry& reg)
-      : cfg_(cfg), layer_(layer), rep_(rep), tracer_(tracer), reg_(reg),
-        det_(make_params(cfg)),
-        sched_(cfg.seed, cfg.hb_period_ms, cfg.hb_jitter) {}
+      : layer_(layer), rep_(rep), tracer_(tracer), reg_(reg),
+        det_(cfg.hb_period_ms),
+        sched_(cfg.seed, cfg.hb_period_ms, kHbJitter) {}
 
   void run(const std::vector<workload::SessionEvent>& events) {
     for (const workload::SessionEvent& e : events) {
@@ -100,12 +101,6 @@ class DetectReplay {
     Id watcher = 0;
     bool detected = false;
   };
-
-  static session::DetectorParams make_params(const SessionChaosConfig& c) {
-    session::DetectorParams p;
-    p.expected_period_ms = c.hb_period_ms;
-    return p;
-  }
 
   /// Accrues degraded time up to `t` with the CURRENT parked state,
   /// then moves the replay clock.
@@ -163,23 +158,17 @@ class DetectReplay {
     using How = session::ReattachRecord::How;
     for (const session::ReattachRecord& r : layer_.take_failover_log()) {
       switch (r.how) {
-        case How::kStandby: {
-          const SimTime done = now + cfg_.standby_rtt_ms;
-          reg_.counter("session.failover.reattach.standby").add();
-          reg_.histogram("session.failover.reattach_ms")
-              .record(done - crash_ms);
-          trace(telemetry::EventType::kFailoverReattach, done, r.child,
-                r.parent, r.group, 1);
-          break;
-        }
+        case How::kStandby:
         case How::kPlacement: {
-          const SimTime done =
-              now + static_cast<double>(r.lookup_hops + 1) * cfg_.hop_rtt_ms;
-          reg_.counter("session.failover.reattach.full").add();
+          const bool standby = r.how == How::kStandby;
+          const SimTime done = now + reattach_cost_ms(r);
+          reg_.counter(standby ? "session.failover.reattach.standby"
+                               : "session.failover.reattach.full")
+              .add();
           reg_.histogram("session.failover.reattach_ms")
               .record(done - crash_ms);
           trace(telemetry::EventType::kFailoverReattach, done, r.child,
-                r.parent, r.group, 0);
+                r.parent, r.group, standby ? 1 : 0);
           break;
         }
         case How::kParked:
@@ -192,8 +181,7 @@ class DetectReplay {
           reg_.counter("session.failover.drop").add();
           break;
         case How::kReadmitted: {
-          const SimTime done =
-              now + static_cast<double>(r.lookup_hops + 1) * cfg_.hop_rtt_ms;
+          const SimTime done = now + reattach_cost_ms(r);
           reg_.counter("session.failover.readmit").add();
           if (auto it = park_since_.find({r.group, r.child});
               it != park_since_.end()) {
@@ -213,7 +201,7 @@ class DetectReplay {
     ++applied_;
     note_parked();
     reconcile_edges();
-    if (step_ != 0 && applied_ % step_ == 0) {
+    if (applied_ % kCheckEvery == 0) {
       sweep_invariants(layer_, applied_, rep_.violations);
     }
   }
@@ -284,41 +272,17 @@ class DetectReplay {
   }
 
   void apply_event(const workload::SessionEvent& e) {
+    advance_clock(e.at_ms);
     if (e.op == workload::SessionOp::kFail) {
-      advance_clock(e.at_ms);
       on_crash(e);
       return;  // surgery (and after_op) runs at the announce instant
     }
-    advance_clock(e.at_ms);
-    switch (e.op) {
-      case workload::SessionOp::kCreate:
-        if (layer_.create_group(e.group, e.node)) ++rep_.apply.creates;
-        break;
-      case workload::SessionOp::kJoin: {
-        const session::JoinResult r = layer_.join(e.group, e.node);
-        if (r.outcome == session::JoinOutcome::kJoined) {
-          ++rep_.apply.joins_ok;
-        } else if (r.outcome == session::JoinOutcome::kNoCapacity) {
-          ++rep_.apply.joins_rejected;
-        }
-        break;
-      }
-      case workload::SessionOp::kLeave:
-        if (layer_.leave(e.group, e.node)) {
-          ++rep_.apply.leaves;
-        } else {
-          ++rep_.apply.noop_leaves;
-        }
-        break;
-      case workload::SessionOp::kFail:
-        break;  // handled above
-    }
+    session::apply_event(layer_, e, rep_.apply);
     // A leave can free capacity and re-admit parked subtrees.
     harvest(e.at_ms, e.at_ms);
     after_op();
   }
 
-  const SessionChaosConfig& cfg_;
   session::SessionLayer& layer_;
   SessionChaosReport& rep_;
   telemetry::Tracer& tracer_;
@@ -329,7 +293,6 @@ class DetectReplay {
   std::map<Id, SimTime> crash_at_;    // script crash time per victim
   std::vector<Announce> pending_;     // sorted (at_ms, victim)
   std::map<std::pair<session::GroupId, Id>, SimTime> park_since_;
-  const std::size_t step_ = cfg_.check_every;
   std::size_t applied_ = 0;
   SimTime last_ms_ = 0;
   double degraded_ms_ = 0;
@@ -403,18 +366,15 @@ SessionChaosReport run_session_chaos(const SessionChaosConfig& cfg,
     // Detection-driven replay: crashes surface at suspicion deadlines.
     DetectReplay(cfg, layer, rep, tracer, registry).run(events);
   } else {
-    // Replay in invariant-swept chunks: membership chaos is only chaos
-    // if the ledger/tree cross-checks hold WHILE it happens, not just
-    // after.
-    const std::size_t step = cfg.check_every == 0 ? events.size() + 1
-                                                  : cfg.check_every;
-    for (std::size_t off = 0; off < events.size(); off += step) {
-      const std::size_t end = std::min(events.size(), off + step);
-      const std::vector<workload::SessionEvent> chunk(
-          events.begin() + static_cast<std::ptrdiff_t>(off),
-          events.begin() + static_cast<std::ptrdiff_t>(end));
-      merge(rep.apply, session::apply_events(layer, chunk));
-      sweep_invariants(layer, end, rep.violations);
+    // Sweep the invariants every kCheckEvery events and at the end:
+    // membership chaos is only chaos if the ledger/tree cross-checks
+    // hold WHILE it happens, not just after.
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      session::apply_event(layer, events[i], rep.apply);
+      const std::size_t applied = i + 1;
+      if (applied % kCheckEvery == 0 || applied == events.size()) {
+        sweep_invariants(layer, applied, rep.violations);
+      }
     }
     if (events.empty()) sweep_invariants(layer, 0, rep.violations);
   }
@@ -439,8 +399,7 @@ SessionChaosReport run_session_chaos(const SessionChaosConfig& cfg,
   }
   if (!traffic.empty()) {
     const ConstantLatency latency(1.0);
-    session::MultiGroupConfig mcfg{cfg.mode};
-    mcfg.repair_deadline_ms = cfg.repair_deadline_ms;
+    const session::MultiGroupConfig mcfg{cfg.mode};
     // The forwarder snapshots the trees NOW — before any mid-stream
     // crash surgery below — so it streams the pre-crash topology and
     // learns about the failure only through the FailoverScript, exactly
@@ -452,7 +411,7 @@ SessionChaosReport run_session_chaos(const SessionChaosConfig& cfg,
         pick_stream_victim(layer, traffic, rep.stream_victim)) {
       rep.stream_crashed = true;
       const Id victim = rep.stream_victim;
-      const SimTime t_crash = cfg.stream_crash_ms;
+      const SimTime t_crash = kStreamCrashMs;
       script.crashes.push_back({t_crash, victim});
 
       // Per-watcher detection spread from the heartbeat timetable: each
@@ -460,14 +419,14 @@ SessionChaosReport run_session_chaos(const SessionChaosConfig& cfg,
       //   strikes * max(floor, period * (1 + jitter * (u - 0.5)))
       // with u the edge's schedule hash — deterministic, no RNG state.
       const session::HeartbeatSchedule sched(cfg.seed, cfg.hb_period_ms,
-                                             cfg.hb_jitter);
-      const session::DetectorParams dp;
+                                             kHbJitter);
       const auto detect_delay = [&](Id w) {
         const double u =
             sched.hash_uniform(w, victim, 0x9E3779B97F4A7C15ull);
-        const double window = std::max(
-            dp.floor_ms, cfg.hb_period_ms * (1 + cfg.hb_jitter * (u - 0.5)));
-        return static_cast<double>(dp.strikes) * window;
+        const double window =
+            std::max(session::kDetectorFloorMs,
+                     cfg.hb_period_ms * (1 + kHbJitter * (u - 0.5)));
+        return static_cast<double>(session::kDetectorStrikes) * window;
       };
       SimTime announce = t_crash;
       Id first_watcher = 0;
@@ -512,11 +471,7 @@ SessionChaosReport run_session_chaos(const SessionChaosConfig& cfg,
       using How = session::ReattachRecord::How;
       for (const session::ReattachRecord& r : layer.take_failover_log()) {
         if (r.how != How::kStandby && r.how != How::kPlacement) continue;
-        const SimTime done =
-            r.how == How::kStandby
-                ? announce + cfg.standby_rtt_ms
-                : announce +
-                      static_cast<double>(r.lookup_hops + 1) * cfg.hop_rtt_ms;
+        const SimTime done = announce + reattach_cost_ms(r);
         // Surgery reattaches are crash recoveries like any other: they
         // feed the same latency histogram the workload-replay harvest
         // does, so counters and histogram agree on what "a reattach" is.
@@ -601,7 +556,7 @@ std::string SessionChaosReport::render() const {
   if (cfg.detect) {
     os << " detect=1 standby=" << (cfg.standby ? 1 : 0)
        << " park=" << (cfg.park ? 1 : 0)
-       << " hb=" << num(cfg.hb_period_ms);
+       << " hb=" << format_g(cfg.hb_period_ms);
   }
   os << "\n";
   os << "plan:\n" << plan_text;
@@ -619,7 +574,7 @@ std::string SessionChaosReport::render() const {
      << " reparented=" << counters.reparented
      << " dropped=" << counters.dropped_members << "\n";
   os << "state: groups=" << groups << " memberships=" << memberships
-     << " max_util=" << num(max_utilization) << "\n";
+     << " max_util=" << format_g(max_utilization) << "\n";
   if (cfg.detect) {
     os << "failover: crashes=" << crash_victims
        << " detected=" << detected_crashes
@@ -627,11 +582,11 @@ std::string SessionChaosReport::render() const {
        << " full=" << counters.reattach_full
        << " parked=" << counters.parked_subtrees
        << " readmitted=" << counters.readmitted_subtrees
-       << " detect_p50=" << num(detect_latency.quantile(0.5))
-       << " detect_max=" << num(detect_latency.max())
-       << " reattach_p50=" << num(reattach_latency.quantile(0.5))
-       << " reattach_max=" << num(reattach_latency.max()) << "\n";
-    os << "degraded: frac=" << num(degraded_frac)
+       << " detect_p50=" << format_g(detect_latency.quantile(0.5))
+       << " detect_max=" << format_g(detect_latency.max())
+       << " reattach_p50=" << format_g(reattach_latency.quantile(0.5))
+       << " reattach_max=" << format_g(reattach_latency.max()) << "\n";
+    os << "degraded: frac=" << format_g(degraded_frac)
        << " peak_parked=" << peak_parked
        << " trace_events=" << failover_trace_events << "\n";
   }
@@ -641,7 +596,7 @@ std::string SessionChaosReport::render() const {
     os << "stream-failover: ";
     if (stream_crashed) {
       os << "victim=" << stream_victim
-         << " announce=" << num(stream_announce_ms)
+         << " announce=" << format_g(stream_announce_ms)
          << " reattaches=" << stream_reattaches
          << " repaired=" << stream_repaired
          << " gaps=" << stream_gap_total << "/" << stream_gap_max

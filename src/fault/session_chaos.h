@@ -52,9 +52,6 @@ struct SessionChaosConfig {
   double bw_hi_kbps = 1000;
   std::uint32_t cap_lo = 4;         // uniform capacity range
   std::uint32_t cap_hi = 10;
-  /// Invariant sweep cadence: full SessionLayer::check() every this many
-  /// applied events (and always once at the end).
-  std::size_t check_every = 32;
   /// Groups streamed through the dataplane after the script (ascending
   /// group id, only groups with at least one receiver).
   std::size_t stream_groups = 4;
@@ -69,22 +66,16 @@ struct SessionChaosConfig {
   /// subtrees (session::FailoverPolicy).
   bool standby = true;
   bool park = true;
-  /// Heartbeat cadence and schedule jitter driving the detector.
+  /// Heartbeat cadence driving the detector.
   double hb_period_ms = 2.0;
-  double hb_jitter = 0.5;
-  /// Reattach cost model: a standby re-hang costs one control RTT; full
-  /// placement costs (lookup_hops + 1) * hop_rtt_ms.
-  double standby_rtt_ms = 2.0;
-  double hop_rtt_ms = 2.0;
   /// Also crash the deepest interior member of the largest streamed
-  /// group `stream_crash_ms` into the stream, with detector-derived
+  /// group kStreamCrashMs into the stream, with detector-derived
   /// prune/reattach times feeding the dataplane FailoverScript.
   bool stream_crash = false;
-  SimTime stream_crash_ms = 40;
-  /// Dataplane zombie deadline for mid-stream pull repair (0 = repair
-  /// everything, however late).
-  double repair_deadline_ms = 0;
 };
+
+/// When the mid-stream crash (SessionChaosConfig::stream_crash) hits.
+inline constexpr SimTime kStreamCrashMs = 40;
 
 struct SessionChaosReport {
   bool ok = false;  // no invariant violations anywhere in the run
@@ -143,9 +134,9 @@ struct SessionChaosCell {
 std::vector<SessionChaosReport> run_session_chaos_cells(
     const std::vector<SessionChaosCell>& cells, std::size_t jobs = 1);
 
-/// The stock plan `camsim groups --chaos` uses when none is given: a
-/// zipf fleet, one flash crowd, a diurnal churn window, and a regional
-/// failure burst.
+/// The tests' stock plan: a zipf fleet, one flash crowd, a diurnal
+/// churn window, and a regional failure burst. (`camsim groups --chaos`
+/// builds its own plan from --ngroups and --group-max.)
 workload::WorkloadPlan default_session_workload();
 
 }  // namespace cam::fault

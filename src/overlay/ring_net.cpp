@@ -7,8 +7,8 @@
 
 namespace cam {
 
-RingOverlayNet::RingOverlayNet(RingSpace ring, Network& net, RingNetConfig cfg)
-    : ring_(ring), net_(net), cfg_(cfg) {}
+RingOverlayNet::RingOverlayNet(RingSpace ring, Network& net)
+    : ring_(ring), net_(net) {}
 
 RingOverlayNet::BaseState& RingOverlayNet::base(Id id) {
   auto it = nodes_.find(id);
@@ -122,7 +122,7 @@ void RingOverlayNet::refresh_succ_list(BaseState& st) {
   if (succ != st.self) {
     const BaseState& ss = base(succ);
     for (Id s : ss.succ_list) {
-      if (fresh.size() >= cfg_.successor_list_len) break;
+      if (fresh.size() >= kSuccessorListLen) break;
       if (s == st.self) break;  // lapped the ring
       if (alive(s) && std::find(fresh.begin(), fresh.end(), s) == fresh.end())
         fresh.push_back(s);
@@ -311,7 +311,7 @@ void RingOverlayNet::oracle_fill() {
     st.pred = dir.predecessor_of(id);
     st.succ_list.clear();
     Id s = *dir.successor_of(id);
-    while (st.succ_list.size() < cfg_.successor_list_len && s != id) {
+    while (st.succ_list.size() < kSuccessorListLen && s != id) {
       st.succ_list.push_back(s);
       s = *dir.successor_of(s);
     }

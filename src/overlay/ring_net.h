@@ -31,15 +31,12 @@
 
 namespace cam {
 
-struct RingNetConfig {
-  std::size_t successor_list_len = 8;
-  std::size_t max_lookup_hops = 512;
-  std::size_t multicast_payload_bytes = 1200;
-};
+/// Hop budget of one synchronous LOOKUP before it reports failure.
+inline constexpr std::size_t kSyncMaxLookupHops = 512;
 
 class RingOverlayNet {
  public:
-  RingOverlayNet(RingSpace ring, Network& net, RingNetConfig cfg);
+  RingOverlayNet(RingSpace ring, Network& net);
   virtual ~RingOverlayNet() = default;
 
   RingOverlayNet(const RingOverlayNet&) = delete;
@@ -149,7 +146,6 @@ class RingOverlayNet {
 
   RingSpace ring_;
   Network& net_;
-  RingNetConfig cfg_;
   FlatMap<Id, BaseState> nodes_;
 
  private:

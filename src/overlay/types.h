@@ -1,12 +1,22 @@
 // Common value types shared by every overlay implementation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "ids/ring.h"
 
 namespace cam {
+
+/// Successor-list length every ring member keeps, in both protocol
+/// stacks: enough live fallbacks that stabilization survives a burst of
+/// adjacent failures.
+inline constexpr std::size_t kSuccessorListLen = 8;
+
+/// Bytes on the wire for one overlay multicast payload, in both
+/// protocol stacks.
+inline constexpr std::uint32_t kMulticastPayloadBytes = 1200;
 
 /// Static per-node attributes. The paper models capacity c_x as "the
 /// maximum number of direct children that a node is willing to forward

@@ -87,7 +87,7 @@ void AsyncCamChordNode::forward_multicast(const MulticastData& msg) {
     }
     send_multicast(*child,
                    MulticastData{msg.stream_id, a.bound, msg.depth + 1,
-                                 net_.config().multicast_payload_bytes});
+                                 kMulticastPayloadBytes});
   }
 }
 

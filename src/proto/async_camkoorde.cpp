@@ -87,7 +87,7 @@ void AsyncCamKoordeNode::forward_multicast(const MulticastData& msg) {
   // received or are receiving" — checked with a short control packet
   // before shipping the payload.
   MulticastData fwd{msg.stream_id, 0, msg.depth + 1,
-                    net_.config().multicast_payload_bytes};
+                    kMulticastPayloadBytes};
   flood_neighbors();
   for (Id y : scratch_neighbors_) {
     call(

@@ -18,16 +18,42 @@ SimTime jitter(Id self, std::uint64_t tick, SimTime max_ms) {
 
 constexpr std::size_t kRpcBytes = 64;
 
+// Maintenance timer periods; every tick also waits up to kTimerJitterMs
+// of deterministic jitter, which desynchronizes the ring.
+constexpr SimTime kStabilizePeriodMs = 500;
+constexpr SimTime kFixPeriodMinMs = 50;  // tick-rate floor for huge tables
+constexpr SimTime kPingPeriodMs = 700;   // predecessor liveness probe
+constexpr SimTime kTimerJitterMs = 50;
+
+constexpr int kLookupRestarts = 6;  // dead-hop retries before failing
+constexpr std::size_t kMaxLookupHops = 128;
+
+/// How long a peer stays suspected after kSuspectAfterStrikes timeouts.
+/// Suspects are skipped by successor repair and lookup forwarding,
+/// which prevents stale table entries from re-adopting dead nodes
+/// every tick.
+constexpr SimTime kSuspectTtlMs = 10'000;
+
+/// Only streams seen within this window are advertised in anti-entropy
+/// digests (clamped to half the dedupe horizon so an advertised stream
+/// is never near eviction at the provider).
+constexpr SimTime kRepairDigestWindowMs = 120'000;
+/// Digest size cap: newest streams win when the window holds more.
+constexpr std::size_t kRepairDigestMax = 32;
+/// Per-stream cap on re-delegation attempts a single node may issue —
+/// bounds repair recursion under pathological churn.
+constexpr int kRepairRedelegateBudget = 16;
+
 using telemetry::EventType;
 
 }  // namespace
 
 SimTime retry_backoff_ms(const AsyncConfig& cfg, Id self, std::uint64_t nonce,
                          int attempt) {
-  double nominal = static_cast<double>(cfg.backoff_base_ms);
-  const double cap = static_cast<double>(cfg.backoff_cap_ms);
+  double nominal = static_cast<double>(kBackoffBaseMs);
+  const double cap = static_cast<double>(kBackoffCapMs);
   for (int k = 0; k < attempt && nominal < cap; ++k) {
-    nominal *= cfg.backoff_factor;
+    nominal *= kBackoffFactor;
   }
   nominal = std::min(nominal, cap);
   // Seeded jitter in [1 - j, 1 + j): same (node, nonce, attempt), same
@@ -45,13 +71,12 @@ SimTime retransmit_tail_ms(const AsyncConfig& cfg) {
   const int retries = std::max(cfg.multicast_retries, 0);
   // Every attempt times out (one rpc_timeout each) and every inter-
   // attempt backoff lands at its jittered maximum.
-  double tail =
-      static_cast<double>(cfg.rpc_timeout_ms) * (retries + 1);
-  double nominal = static_cast<double>(cfg.backoff_base_ms);
-  const double cap = static_cast<double>(cfg.backoff_cap_ms);
+  double tail = static_cast<double>(kRpcTimeoutMs) * (retries + 1);
+  double nominal = static_cast<double>(kBackoffBaseMs);
+  const double cap = static_cast<double>(kBackoffCapMs);
   for (int k = 0; k < retries; ++k) {
     tail += std::min(nominal, cap) * (1.0 + cfg.backoff_jitter);
-    nominal *= cfg.backoff_factor;
+    nominal *= kBackoffFactor;
   }
   return static_cast<SimTime>(tail) + 1;
 }
@@ -121,7 +146,7 @@ void AsyncNodeBase::boot_via(Id contact) {
           const auto& lst = std::get<GetSuccListRep>(pl);
           succ_list_ = {owner};
           for (Id e : lst.succs) {
-            if (succ_list_.size() >= net_.config().successor_list_len) break;
+            if (succ_list_.size() >= kSuccessorListLen) break;
             if (e == self_) break;  // lapped the ring
             if (std::find(succ_list_.begin(), succ_list_.end(), e) ==
                 succ_list_.end()) {
@@ -143,7 +168,6 @@ void AsyncNodeBase::boot_via(Id contact) {
 }
 
 void AsyncNodeBase::start_timers() {
-  const AsyncConfig& cfg = net_.config();
   auto schedule = [this](SimTime period, std::uint64_t salt, auto&& fn) {
     // Self-rescheduling tick. The function object holds only a weak
     // reference to itself (a strong capture would be a shared_ptr cycle
@@ -158,19 +182,17 @@ void AsyncNodeBase::start_timers() {
       auto strong = weak.lock();
       if (!strong) return;
       net_.sim().after(
-          period + jitter(self_, n * 2654435761ULL + salt,
-                          net_.config().timer_jitter_ms),
+          period + jitter(self_, n * 2654435761ULL + salt, kTimerJitterMs),
           [strong, n] { (*strong)(n + 1); });
     };
     net_.sim().after(jitter(self_, salt, period), [tick] { (*tick)(0); });
   };
-  schedule(cfg.stabilize_period_ms, 1, [this] { stabilize_tick(); });
+  schedule(kStabilizePeriodMs, 1, [this] { stabilize_tick(); });
   const auto table = static_cast<double>(std::max<std::size_t>(
       idents_.empty() ? neighbor_idents().size() : idents_.size(), 1));
-  schedule(std::max(cfg.entry_refresh_target_ms / table,
-                    cfg.fix_period_min_ms),
-           2, [this] { fix_tick(); });
-  schedule(cfg.ping_period_ms, 3, [this] { ping_tick(); });
+  schedule(std::max(kEntryRefreshTargetMs / table, kFixPeriodMinMs), 2,
+           [this] { fix_tick(); });
+  schedule(kPingPeriodMs, 3, [this] { ping_tick(); });
 }
 
 void AsyncNodeBase::handle(Id from, Message msg) {
@@ -209,10 +231,10 @@ bool AsyncNodeBase::suspected(Id peer) const {
 void AsyncNodeBase::strike(Id peer) {
   const int strikes = ++strikes_[peer];
   tel().count_node("rpc.strikes", self_);
-  if (strikes >= net_.config().suspect_after_strikes) {
-    const SimTime until = net_.sim().now() + net_.config().suspect_ttl_ms;
+  if (strikes >= kSuspectAfterStrikes) {
+    const SimTime until = net_.sim().now() + kSuspectTtlMs;
     suspects_[peer] = until;
-    if (strikes == net_.config().suspect_after_strikes) {
+    if (strikes == kSuspectAfterStrikes) {
       // Trace the transition, not every extension.
       tel().trace(EventType::kSuspect, net_.sim().now(), self_, peer,
                   static_cast<std::uint64_t>(until));
@@ -264,7 +286,7 @@ void AsyncNodeBase::call(Id to, RequestPayload req, ReplyFn on_reply,
   pending_.emplace(id,
                    Pending{to, std::move(on_reply), std::move(on_timeout)});
   net_.bus().post(self_, to, RpcRequest{id, std::move(req)}, bytes, cls);
-  net_.sim().after(net_.config().rpc_timeout_ms, [this, id, to] {
+  net_.sim().after(kRpcTimeoutMs, [this, id, to] {
     auto it = pending_.find(id);
     if (it == pending_.end()) return;  // answered in time
     TimeoutFn on_to = std::move(it->second.on_timeout);
@@ -384,9 +406,7 @@ void AsyncNodeBase::give_up_multicast(Id to, const MulticastData& msg) {
 bool AsyncNodeBase::redelegate_budget(std::uint64_t stream_id) {
   auto it = seen_streams_.find(stream_id);
   if (it == seen_streams_.end()) return false;  // evicted: window closed
-  if (it->second.repairs >= net_.config().repair_redelegate_budget) {
-    return false;
-  }
+  if (it->second.repairs >= kRepairRedelegateBudget) return false;
   ++it->second.repairs;
   return true;
 }
@@ -437,21 +457,21 @@ SmallVec<std::uint64_t, 8> AsyncNodeBase::repair_digest() const {
   // Advertise at most half the eviction horizon: a stream evicted here
   // must already be gone from every neighbor's digest, or eviction and
   // re-pull would chase each other forever.
-  const SimTime window = std::min(cfg.repair_digest_window_ms, horizon / 2);
+  const SimTime window = std::min(kRepairDigestWindowMs, horizon / 2);
   const SimTime now = net_.sim().now();
   auto& recent = scratch_recent_;
   recent.clear();
   for (const auto& [id, meta] : seen_streams_) {
     if (now - meta.last_seen <= window) recent.emplace_back(meta.last_seen, id);
   }
-  if (recent.size() > cfg.repair_digest_max) {
+  if (recent.size() > kRepairDigestMax) {
     // Newest first, id as the deterministic tiebreak; then truncate.
     std::sort(recent.begin(), recent.end(),
               [](const auto& a, const auto& b) {
                 if (a.first != b.first) return a.first > b.first;
                 return a.second < b.second;
               });
-    recent.resize(cfg.repair_digest_max);
+    recent.resize(kRepairDigestMax);
   }
   SmallVec<std::uint64_t, 8> out;
   out.reserve(recent.size());
@@ -528,8 +548,8 @@ void AsyncNodeBase::adopt_successor(Id candidate) {
   if (!succ_list_.empty() && succ_list_.front() == candidate) return;
   std::erase(succ_list_, candidate);
   succ_list_.insert(succ_list_.begin(), candidate);
-  if (succ_list_.size() > net_.config().successor_list_len) {
-    succ_list_.resize(net_.config().successor_list_len);
+  if (succ_list_.size() > kSuccessorListLen) {
+    succ_list_.resize(kSuccessorListLen);
   }
 }
 
@@ -657,7 +677,7 @@ void AsyncNodeBase::stabilize_tick() {
               fresh.clear();
               fresh.push_back(next);
               for (Id e : lst.succs) {
-                if (fresh.size() >= net_.config().successor_list_len) break;
+                if (fresh.size() >= kSuccessorListLen) break;
                 if (e == self_) break;  // lapped the ring
                 if (std::find(fresh.begin(), fresh.end(), e) == fresh.end()) {
                   fresh.push_back(e);
@@ -793,7 +813,7 @@ void AsyncNodeBase::start_lookup(Id first_hop, Id target, LookupDone done) {
 }
 
 void AsyncNodeBase::lookup_step(LookupOp* op, Id hop) {
-  if (op->path.size() > net_.config().max_lookup_hops) {
+  if (op->path.size() > kMaxLookupHops) {
     finish_lookup(op, false, 0);
     return;
   }
@@ -820,7 +840,7 @@ void AsyncNodeBase::lookup_step(LookupOp* op, Id hop) {
       [this, op, hop] {
         if (!alive_) return;
         op->excluded.push_back(hop);
-        if (++op->restarts > net_.config().lookup_restarts) {
+        if (++op->restarts > kLookupRestarts) {
           finish_lookup(op, false, 0);
           return;
         }
@@ -985,13 +1005,13 @@ bool AsyncOverlayNet::start_multicast(Id source, std::uint64_t stream) {
   tel_.count("mc.multicasts");
   it->second->on_multicast(
       source, MulticastData{stream, ring_.sub(source, 1), 0,
-                            cfg_.multicast_payload_bytes});
+                            kMulticastPayloadBytes});
   return true;
 }
 
 SimTime AsyncOverlayNet::quiesce_slice_ms() const {
   // Poll slices sized above one hop + dup-check round trip.
-  return cfg_.rpc_timeout_ms * 2;
+  return kRpcTimeoutMs * 2;
 }
 
 int AsyncOverlayNet::quiesce_rounds() const {
@@ -1002,8 +1022,8 @@ int AsyncOverlayNet::quiesce_rounds() const {
   int quiet_needed = 3;
   if (cfg_.repair) {
     const SimTime slice = quiesce_slice_ms();
-    const SimTime tail = retransmit_tail_ms(cfg_) + cfg_.stabilize_period_ms +
-                         cfg_.timer_jitter_ms;
+    const SimTime tail =
+        retransmit_tail_ms(cfg_) + kStabilizePeriodMs + kTimerJitterMs;
     quiet_needed =
         std::max<int>(quiet_needed, static_cast<int>((tail + slice - 1) / slice));
   }

@@ -32,33 +32,34 @@
 
 namespace cam::proto {
 
+/// RPC reply deadline: an unanswered call strikes the peer.
+inline constexpr SimTime kRpcTimeoutMs = 250;
+/// Consecutive timeouts before a peer is suspected / a successor is
+/// dropped — one lost datagram must not evict a live neighbor.
+inline constexpr int kSuspectAfterStrikes = 3;
+/// Target full-table refresh interval: each fix tick refreshes one
+/// entry, so the tick period is kEntryRefreshTargetMs / table size —
+/// bigger tables (CAM-Chord's O(c log n / log c) vs CAM-Koorde's c)
+/// really do cost proportionally more maintenance traffic.
+inline constexpr SimTime kEntryRefreshTargetMs = 8'000;
+
+// --- retry backoff ------------------------------------------------------
+/// Multicast retransmissions and join retries back off exponentially
+/// instead of firing every kRpcTimeoutMs: attempt k waits
+/// min(kBackoffCapMs, kBackoffBaseMs * kBackoffFactor^k) scaled by a
+/// seeded jitter in [1 - backoff_jitter, 1 + backoff_jitter), so a
+/// partition heal doesn't release a synchronized retry storm onto the
+/// bus. All timing flows from splitmix64 of (node, nonce, attempt) —
+/// fully deterministic per seed.
+inline constexpr SimTime kBackoffBaseMs = 250;
+inline constexpr double kBackoffFactor = 2.0;
+inline constexpr SimTime kBackoffCapMs = 4'000;
+
 struct AsyncConfig {
-  SimTime stabilize_period_ms = 500;
-  /// Target full-table refresh interval: each fix tick refreshes one
-  /// entry, so the tick period is entry_refresh_target_ms / table size —
-  /// bigger tables (CAM-Chord's O(c log n / log c) vs CAM-Koorde's c)
-  /// really do cost proportionally more maintenance traffic.
-  SimTime entry_refresh_target_ms = 8'000;
-  SimTime fix_period_min_ms = 50;  // tick-rate floor for huge tables
-  SimTime ping_period_ms = 700;    // predecessor liveness probe
-  SimTime rpc_timeout_ms = 250;
-  int lookup_restarts = 6;        // dead-hop retries before failing
-  std::size_t max_lookup_hops = 128;
-  std::size_t successor_list_len = 8;
-  std::uint32_t multicast_payload_bytes = 1200;
   /// Link-level retransmissions for multicast payloads. 0 = fire and
   /// forget (unreliable datagrams); k > 0 = each payload is acknowledged
   /// and retransmitted up to k times on timeout.
   int multicast_retries = 2;
-  SimTime timer_jitter_ms = 50;   // desynchronizes maintenance ticks
-  /// How long a peer stays suspected after repeated RPC timeouts.
-  /// Suspects are skipped by successor repair and lookup forwarding,
-  /// which prevents stale table entries from re-adopting dead nodes
-  /// every tick.
-  SimTime suspect_ttl_ms = 10'000;
-  /// Consecutive timeouts before a peer is suspected / a successor is
-  /// dropped — one lost datagram must not evict a live neighbor.
-  int suspect_after_strikes = 3;
   /// Multicast dedupe horizon: stream ids unseen for this long are
   /// evicted from the per-node dedupe set, so long-running sessions
   /// don't grow it without bound. Must comfortably exceed the duration
@@ -67,34 +68,12 @@ struct AsyncConfig {
   /// straggling retransmission can never resurrect an evicted stream
   /// (exactly-once would break).
   SimTime stream_seen_ttl_ms = 300'000;
-
-  // --- retry backoff ----------------------------------------------------
-  /// Multicast retransmissions and join retries back off exponentially
-  /// instead of firing every rpc_timeout_ms: attempt k waits
-  /// min(backoff_cap_ms, backoff_base_ms * backoff_factor^k) scaled by a
-  /// seeded jitter in [1 - backoff_jitter, 1 + backoff_jitter), so a
-  /// partition heal doesn't release a synchronized retry storm onto the
-  /// bus. All timing flows from splitmix64 of (node, nonce, attempt) —
-  /// fully deterministic per seed.
-  SimTime backoff_base_ms = 250;
-  double backoff_factor = 2.0;
-  SimTime backoff_cap_ms = 4'000;
+  /// Retry backoff jitter fraction (see kBackoffBaseMs).
   double backoff_jitter = 0.25;
-
-  // --- delivery repair --------------------------------------------------
   /// Master switch for the repair layer: orphan-region re-delegation on
   /// retransmission give-up plus anti-entropy digest exchange with ring
   /// neighbors during stabilization.
   bool repair = true;
-  /// Only streams seen within this window are advertised in anti-entropy
-  /// digests (clamped to half the dedupe horizon so an advertised stream
-  /// is never near eviction at the provider).
-  SimTime repair_digest_window_ms = 120'000;
-  /// Digest size cap: newest streams win when the window holds more.
-  std::size_t repair_digest_max = 32;
-  /// Per-stream cap on re-delegation attempts a single node may issue —
-  /// bounds repair recursion under pathological churn.
-  int repair_redelegate_budget = 16;
 };
 
 /// Backoff delay before retry number `attempt` (0-based) of the retry
@@ -237,13 +216,13 @@ class AsyncNodeBase {
   /// successor and predecessor (stabilize-tick cadence).
   void repair_exchange_tick();
   /// Recently seen stream ids, sorted ascending, newest-first truncation
-  /// to config().repair_digest_max.
+  /// to the digest cap.
   SmallVec<std::uint64_t, 8> repair_digest() const;
   /// Pulls streams from `peer`'s digest that this node has not seen.
   void handle_repair_digest(Id peer, std::span<const std::uint64_t> ids);
   void pull_stream(Id peer, std::uint64_t stream_id);
   /// Consumes one unit of the per-stream re-delegation budget; false
-  /// once config().repair_redelegate_budget is exhausted.
+  /// once it is exhausted.
   bool redelegate_budget(std::uint64_t stream_id);
 
   /// The harness-wide telemetry sink (null members when unattached).

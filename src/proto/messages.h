@@ -10,6 +10,7 @@
 #include <variant>
 
 #include "ids/ring.h"
+#include "overlay/types.h"
 #include "util/small_vec.h"
 
 namespace cam::proto {
@@ -61,7 +62,7 @@ struct MulticastDataReq {
 };
 
 /// Anti-entropy digest offer: "these are the streams I have seen
-/// recently" (sorted ascending, bounded by AsyncConfig::repair_digest_max).
+/// recently" (sorted ascending, at most 32 newest; see async_node.cpp).
 /// The receiver pulls what it misses and replies with its own digest so
 /// one exchange repairs both directions.
 struct RepairDigestReq {
@@ -94,9 +95,9 @@ struct GetPredRep {
 };
 
 struct GetSuccListRep {
-  /// Inline capacity matches AsyncConfig::successor_list_len's default,
-  /// so a stabilize round trip never allocates.
-  SmallVec<Id, 8> succs;
+  /// Inline capacity is the successor-list length, so a stabilize round
+  /// trip never allocates.
+  SmallVec<Id, kSuccessorListLen> succs;
 };
 
 struct PingRep {};

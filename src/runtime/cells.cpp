@@ -9,6 +9,11 @@
 
 namespace cam::runtime {
 
+namespace {
+/// Constant per-link propagation delay of stream and session cells.
+constexpr double kLinkLatencyMs = 10.0;
+}  // namespace
+
 PopulationRecipe PopulationRecipe::uniform(
     const workload::PopulationSpec& spec, std::uint32_t lo,
     std::uint32_t hi) {
@@ -147,7 +152,7 @@ StreamCellResult stream_cell_on(const FrozenDirectory& dir,
   };
   out.analytic_kbps = tree_throughput_kbps(tree, bw);
 
-  ConstantLatency lat(cell.latency_ms);
+  ConstantLatency lat(kLinkLatencyMs);
   dataplane::BackpressureForwarder forwarder(tree, lat, cell.fwd);
   forwarder.resolve_uplinks(bw);
   out.stats = forwarder.run(cell.traffic);
@@ -195,12 +200,11 @@ SessionCellResult session_cell_on(const FrozenDirectory& dir,
     if (layer.group(g)->size() < 2) continue;
     session::GroupTraffic t;
     t.group = g;
-    t.packet_bytes = cell.packet_bytes;
     t.num_packets = cell.stream_packets;
     traffic.push_back(t);
   }
   if (!traffic.empty()) {
-    ConstantLatency lat(cell.latency_ms);
+    ConstantLatency lat(kLinkLatencyMs);
     session::MultiGroupForwarder forwarder(layer, lat, cell.fwd);
     out.stats = forwarder.run(traffic);
   }

@@ -98,7 +98,6 @@ struct StreamCellSpec {
   strategy::StrategyParams params;    // structural knobs per strategy
   dataplane::ForwarderConfig fwd;
   dataplane::TrafficSpec traffic;
-  double latency_ms = 10.0;         // constant per-link propagation
   double hotspot_factor = 1.0;      // 1.0 = no induced hotspot
 };
 
@@ -133,10 +132,8 @@ struct SessionCellSpec {
   std::uint64_t seed = 1;            // workload expansion seed
   workload::WorkloadPlan plan;       // membership script
   session::MultiGroupConfig fwd;     // scheduling discipline + admission
-  std::uint64_t packet_bytes = 1250;
   std::uint32_t stream_packets = 32; // per-group measured stream
   std::size_t stream_groups = 0;     // cap on streamed groups; 0 = all
-  double latency_ms = 10.0;          // constant per-link propagation
 };
 
 struct SessionCellResult {

@@ -25,6 +25,10 @@ struct ApplyStats {
   bool operator==(const ApplyStats&) const = default;
 };
 
+/// Applies one event to the layer and tallies its outcome into `stats`.
+void apply_event(SessionLayer& layer, const workload::SessionEvent& e,
+                 ApplyStats& stats);
+
 /// Replays `events` (already time-sorted by the generator) against the
 /// layer in order. Deterministic: same layer state + same script, same
 /// resulting trees and stats.

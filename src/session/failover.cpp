@@ -7,13 +7,19 @@
 
 namespace cam::session {
 
+namespace {
+constexpr double kEwmaAlpha = 0.125;  // inter-arrival mean weight
+constexpr double kDevAlpha = 0.25;    // Jacobson deviation weight
+constexpr double kPhiK = 4.0;  // suspicion threshold: mean + k * dev
+}  // namespace
+
 void FailureDetector::track(Id watcher, Id peer, SimTime now) {
   auto& row = edges_[watcher];
   if (row.contains(peer)) return;
   Edge e;
   e.last_ms = now;
-  e.mean_ms = params_.expected_period_ms;
-  e.dev_ms = params_.expected_period_ms / 4.0;
+  e.mean_ms = expected_period_ms_;
+  e.dev_ms = expected_period_ms_ / 4.0;
   row.emplace(peer, e);
   ++edge_count_;
 }
@@ -46,24 +52,27 @@ void FailureDetector::heartbeat(Id watcher, Id peer, SimTime now) {
   if (ia >= 0) {
     // EWMA mean + Jacobson mean-deviation: the classic cheap stand-ins
     // for the phi-accrual distribution estimate.
-    e.mean_ms += params_.ewma_alpha * (ia - e.mean_ms);
-    e.dev_ms += params_.dev_alpha * (std::abs(ia - e.mean_ms) - e.dev_ms);
+    e.mean_ms += kEwmaAlpha * (ia - e.mean_ms);
+    e.dev_ms += kDevAlpha * (std::abs(ia - e.mean_ms) - e.dev_ms);
   }
   e.last_ms = now;
   e.suspected = false;  // absolve
 }
 
+double FailureDetector::window_ms(const Edge& e) {
+  return std::max(kDetectorFloorMs, e.mean_ms + kPhiK * e.dev_ms);
+}
+
 double FailureDetector::timeout_ms(Id watcher, Id peer) const {
   const Edge* e = find(watcher, peer);
-  if (e == nullptr) return 0;
-  return std::max(params_.floor_ms, e->mean_ms + params_.phi_k * e->dev_ms);
+  return e == nullptr ? 0 : window_ms(*e);
 }
 
 SimTime FailureDetector::suspect_deadline(Id watcher, Id peer) const {
   const Edge* e = find(watcher, peer);
   if (e == nullptr) return 0;
   return e->last_ms +
-         static_cast<double>(params_.strikes) * timeout_ms(watcher, peer);
+         static_cast<double>(kDetectorStrikes) * timeout_ms(watcher, peer);
 }
 
 std::vector<FailureDetector::Suspicion> FailureDetector::sweep(
@@ -75,9 +84,7 @@ std::vector<FailureDetector::Suspicion> FailureDetector::sweep(
     for (auto& [peer, e] : row) {
       if (e.suspected) continue;
       const SimTime deadline =
-          e.last_ms + static_cast<double>(params_.strikes) *
-                          std::max(params_.floor_ms,
-                                   e.mean_ms + params_.phi_k * e.dev_ms);
+          e.last_ms + static_cast<double>(kDetectorStrikes) * window_ms(e);
       if (deadline <= now) {
         e.suspected = true;  // latch until a heartbeat absolves
         out.push_back(Suspicion{watcher, peer, deadline});

@@ -7,10 +7,10 @@
 // both endpoints observe a heartbeat stream from the other. The
 // detector keeps one EWMA of the inter-arrival mean and one Jacobson
 // deviation estimate per directed (watcher, peer) edge; an edge is
-// suspected once the peer has been silent for `strikes` consecutive
-// adaptive windows of
+// suspected once the peer has been silent for kDetectorStrikes
+// consecutive adaptive windows of
 //
-//     timeout = max(floor_ms, mean + phi_k * dev)
+//     timeout = max(kDetectorFloorMs, mean + k * dev)
 //
 // — the phi-accrual idea (Hayashibara et al.) with the accrual curve
 // collapsed to a mean + k*sigma threshold, which is all a simulated
@@ -36,23 +36,17 @@
 
 namespace cam::session {
 
-struct DetectorParams {
-  double expected_period_ms = 2.0;  // seeds a fresh edge's mean
-  double ewma_alpha = 0.125;        // inter-arrival mean weight
-  double dev_alpha = 0.25;          // Jacobson deviation weight
-  double phi_k = 4.0;               // suspicion threshold: mean + k*dev
-  double floor_ms = 0.5;            // adaptive timeout lower bound
-  std::uint32_t strikes = 2;        // silent windows before suspicion
-
-  bool operator==(const DetectorParams&) const = default;
-};
+/// Adaptive timeout lower bound.
+inline constexpr double kDetectorFloorMs = 0.5;
+/// Silent windows before suspicion.
+inline constexpr std::uint32_t kDetectorStrikes = 2;
 
 class FailureDetector final : public proto::HeartbeatObserver {
  public:
-  explicit FailureDetector(DetectorParams params = {})
-      : params_(params) {}
-
-  const DetectorParams& params() const { return params_; }
+  /// `expected_period_ms` is the nominal heartbeat period; it seeds a
+  /// fresh edge's mean.
+  explicit FailureDetector(double expected_period_ms = 2.0)
+      : expected_period_ms_(expected_period_ms) {}
 
   /// Starts watching `peer` from `watcher` as of `now`. A fresh edge is
   /// seeded with the expected period (mean) and a quarter period of
@@ -77,7 +71,7 @@ class FailureDetector final : public proto::HeartbeatObserver {
   /// The edge's current adaptive window.
   double timeout_ms(Id watcher, Id peer) const;
   /// Virtual time at which the edge becomes suspect if the peer stays
-  /// silent: last heartbeat + strikes * timeout.
+  /// silent: last heartbeat + kDetectorStrikes * timeout.
   SimTime suspect_deadline(Id watcher, Id peer) const;
 
   struct Suspicion {
@@ -99,8 +93,10 @@ class FailureDetector final : public proto::HeartbeatObserver {
   };
 
   const Edge* find(Id watcher, Id peer) const;
+  /// One adaptive window: max(kDetectorFloorMs, mean + k * dev).
+  static double window_ms(const Edge& e);
 
-  DetectorParams params_;
+  double expected_period_ms_;
   FlatMap<Id, FlatMap<Id, Edge>> edges_;  // watcher -> peer -> stats
   std::size_t edge_count_ = 0;
 };

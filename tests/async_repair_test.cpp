@@ -34,7 +34,7 @@ TEST(RetryBackoff, JitterStaysWithinBounds) {
   AsyncConfig cfg;
   for (Id self : {Id{1}, Id{977}, Id{4096}}) {
     for (std::uint64_t nonce : {1ULL, 99ULL, 0x6a6f696eULL}) {
-      double nominal = static_cast<double>(cfg.backoff_base_ms);
+      double nominal = static_cast<double>(kBackoffBaseMs);
       for (int attempt = 0; attempt <= 8; ++attempt) {
         const SimTime d = retry_backoff_ms(cfg, self, nonce, attempt);
         const double lo = nominal * (1.0 - cfg.backoff_jitter);
@@ -43,8 +43,8 @@ TEST(RetryBackoff, JitterStaysWithinBounds) {
             << "self=" << self << " attempt=" << attempt;
         EXPECT_LE(static_cast<double>(d), hi)
             << "self=" << self << " attempt=" << attempt;
-        nominal = std::min(nominal * cfg.backoff_factor,
-                           static_cast<double>(cfg.backoff_cap_ms));
+        nominal = std::min(nominal * kBackoffFactor,
+                           static_cast<double>(kBackoffCapMs));
       }
     }
   }
@@ -53,12 +53,12 @@ TEST(RetryBackoff, JitterStaysWithinBounds) {
 TEST(RetryBackoff, NominalDoublesThenCaps) {
   AsyncConfig cfg;
   cfg.backoff_jitter = 0;  // isolate the deterministic schedule
-  EXPECT_EQ(retry_backoff_ms(cfg, 5, 1, 0), cfg.backoff_base_ms);
-  EXPECT_EQ(retry_backoff_ms(cfg, 5, 1, 1), cfg.backoff_base_ms * 2);
-  EXPECT_EQ(retry_backoff_ms(cfg, 5, 1, 2), cfg.backoff_base_ms * 4);
+  EXPECT_EQ(retry_backoff_ms(cfg, 5, 1, 0), kBackoffBaseMs);
+  EXPECT_EQ(retry_backoff_ms(cfg, 5, 1, 1), kBackoffBaseMs * 2);
+  EXPECT_EQ(retry_backoff_ms(cfg, 5, 1, 2), kBackoffBaseMs * 4);
   // 250 * 2^4 = 4000 hits the cap; later attempts stay pinned there.
-  EXPECT_EQ(retry_backoff_ms(cfg, 5, 1, 4), cfg.backoff_cap_ms);
-  EXPECT_EQ(retry_backoff_ms(cfg, 5, 1, 12), cfg.backoff_cap_ms);
+  EXPECT_EQ(retry_backoff_ms(cfg, 5, 1, 4), kBackoffCapMs);
+  EXPECT_EQ(retry_backoff_ms(cfg, 5, 1, 12), kBackoffCapMs);
 }
 
 TEST(RetryBackoff, DifferentNodesDesynchronize) {
@@ -79,18 +79,18 @@ TEST(RetryBackoff, TailCoversWorstCaseSchedule) {
   // The tail must upper-bound every realizable retransmission schedule:
   // (retries+1) timeouts plus each inter-attempt backoff at its
   // jittered maximum.
-  double worst = static_cast<double>(cfg.rpc_timeout_ms) *
+  double worst = static_cast<double>(kRpcTimeoutMs) *
                  (cfg.multicast_retries + 1);
   for (int k = 0; k < cfg.multicast_retries; ++k) {
-    double nominal = static_cast<double>(cfg.backoff_base_ms);
-    for (int j = 0; j < k; ++j) nominal *= cfg.backoff_factor;
-    nominal = std::min(nominal, static_cast<double>(cfg.backoff_cap_ms));
+    double nominal = static_cast<double>(kBackoffBaseMs);
+    for (int j = 0; j < k; ++j) nominal *= kBackoffFactor;
+    nominal = std::min(nominal, static_cast<double>(kBackoffCapMs));
     worst += nominal * (1.0 + cfg.backoff_jitter);
   }
   EXPECT_GE(retransmit_tail_ms(cfg), static_cast<SimTime>(worst));
 
   cfg.multicast_retries = 0;  // fire-and-forget: one timeout, no backoff
-  EXPECT_EQ(retransmit_tail_ms(cfg), cfg.rpc_timeout_ms + 1);
+  EXPECT_EQ(retransmit_tail_ms(cfg), kRpcTimeoutMs + 1);
 }
 
 // --- protocol fixtures ------------------------------------------------

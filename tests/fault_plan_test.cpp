@@ -86,6 +86,29 @@ TEST(FaultPlan, ParseErrorsNameTheLineAndCause) {
 
   EXPECT_FALSE(FaultPlan::parse("at 0 crash", &error));
   EXPECT_EQ(error, "line 1: crash needs n=");
+
+  // Numbers are finite, and ids and counts take no sign.
+  EXPECT_FALSE(FaultPlan::parse("at nan drop p=0.1", &error));
+  EXPECT_EQ(error, "line 1: bad time 'nan'");
+
+  EXPECT_FALSE(FaultPlan::parse("at 0 drop p=nan", &error));
+  EXPECT_EQ(error, "line 1: bad probability 'nan'");
+
+  EXPECT_FALSE(FaultPlan::parse("at 0 delay p=0.5 ms=inf", &error));
+  EXPECT_EQ(error, "line 1: bad ms 'inf'");
+
+  EXPECT_FALSE(FaultPlan::parse("at inf clear", &error));
+  EXPECT_EQ(error, "line 1: bad time 'inf'");
+
+  EXPECT_FALSE(FaultPlan::parse("at 0 partition ids=-1", &error));
+  EXPECT_EQ(error, "line 1: bad id '-1'");
+
+  EXPECT_FALSE(FaultPlan::parse("at 0 drop p=0.1 link=-1:2", &error));
+  EXPECT_EQ(error, "line 1: bad link '-1:2' (need from:to)");
+
+  EXPECT_FALSE(
+      FaultPlan::parse("at 0 regionfail center=-3 radius=0.1 n=1", &error));
+  EXPECT_EQ(error, "line 1: bad center '-3'");
 }
 
 TEST(FaultPlan, RegionFailRoundTripsExactly) {

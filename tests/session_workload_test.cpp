@@ -126,6 +126,11 @@ TEST(WorkloadPlan, MalformedPlansFailWithLinePreciseErrors) {
       {"diurnal start=0 end=10 period=0", "period must be positive"},
       {"regionfail at=0 radius=0.7", "radius beyond the half ring"},
       {"groups n=4 bogus=1", "unknown key"},
+      {"groups n=4 alpha=nan", "alpha not a finite number"},
+      {"flash group=1 at=nan", "time not a finite number"},
+      {"diurnal start=0 end=inf", "end not a finite number"},
+      {"flash group=-1 at=0", "signed group id"},
+      {"regionfail at=0 center=-3 radius=0.1 n=1", "signed center id"},
   };
   for (const auto& c : cases) {
     std::string error;
@@ -174,6 +179,19 @@ TEST(GenerateEvents, PureFunctionOfPlanDirectoryAndSeed) {
     }
   }
   EXPECT_EQ(fails, 4u);
+}
+
+TEST(GenerateEvents, EmptyDirectoryEmitsNothing) {
+  // No live node to draw a source or a joiner from: every step emits
+  // nothing instead of indexing an empty id list.
+  const FrozenDirectory dir = small_world(0, 1);
+  ASSERT_EQ(dir.size(), 0u);
+  WorkloadPlan plan;
+  plan.groups(4, 1.0, 2, 8)
+      .flash(2, 10.0, 4, 1.0)
+      .diurnal(20.0, 60.0, 40.0, 0.5, 0.05, 0.03)
+      .region_fail(80.0, 0, 0.1, 2);
+  EXPECT_TRUE(workload::generate_events(plan, dir, 1).empty());
 }
 
 }  // namespace

@@ -122,7 +122,7 @@ TEST(TelemetryIntegration, TimeoutEventsMatchStrikeBookkeeping) {
       case EventType::kSuspect:
         // Suspicion is only declared once the strike threshold is hit:
         // the trace itself must show enough preceding timeouts.
-        EXPECT_GE((window[{e.node, e.peer}]), cfg.suspect_after_strikes)
+        EXPECT_GE((window[{e.node, e.peer}]), kSuspectAfterStrikes)
             << e.node << " suspected " << e.peer << " early at t=" << e.time;
         break;
       case EventType::kAbsolve:
