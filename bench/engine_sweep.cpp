@@ -230,8 +230,9 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
 
   runtime::FlagSet flags;
-  flags.add("n", "oracle-mode group size", &n);
-  flags.add("bits", "ring identifier bits", &bits);
+  flags.add("n", "oracle-mode group size", &n, std::size_t{1});
+  flags.add("bits", "ring identifier bits", &bits, RingSpace::kMinBits,
+            RingSpace::kMaxBits);
   flags.add("async-n", "async protocol segment size", &async_n);
   flags.add("sources", "multicasts per phase", &sources);
   flags.add("fail", "abrupt failure fraction", &fail);

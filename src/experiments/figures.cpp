@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "ids/ring.h"
 #include "runtime/flags.h"
 #include "runtime/sweep_pool.h"
 #include "workload/population.h"
@@ -29,10 +30,11 @@ workload::PopulationSpec spec_of(const FigureScale& scale, double bw_lo = 400,
 FigureScale parse_scale(int argc, char** argv, FigureScale defaults) {
   FigureScale s = defaults;
   runtime::FlagSet flags;
-  flags.add("n", "group size", &s.n);
+  flags.add("n", "group size", &s.n, std::size_t{1});
   flags.add("sources", "multicast trees per data point", &s.sources);
   flags.add("seed", "master seed", &s.seed);
-  flags.add("bits", "ring identifier bits", &s.ring_bits);
+  flags.add("bits", "ring identifier bits", &s.ring_bits, RingSpace::kMinBits,
+            RingSpace::kMaxBits);
   flags.add("jobs", "parallel sweep cells (0 = hardware)", &s.jobs);
   std::string error;
   if (!flags.parse(argc, argv, 1, &error)) {

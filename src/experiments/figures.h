@@ -31,7 +31,8 @@ struct FigureScale {
 
 /// Parses "--n=", "--sources=", "--seed=", "--bits=", "--jobs="
 /// overrides (for the bench binaries) through the shared
-/// runtime::FlagSet table. Unknown flags abort with a usage message.
+/// runtime::FlagSet table. Unknown flags, --n=0 and a --bits outside
+/// RingSpace's range exit 2 with a usage message.
 FigureScale parse_scale(int argc, char** argv, FigureScale defaults = {});
 
 // --- Figure 6: throughput vs. average number of children per non-leaf ---

@@ -25,10 +25,16 @@ using Id = std::uint64_t;
 /// bits = 19 (Section 6); the worked examples use 5 and 6.
 class RingSpace {
  public:
-  /// Constructs a ring with 2^bits identifiers. Requires 1 <= bits <= 63.
+  /// The valid range of `bits`: 2^bits must fit a uint64_t. Command
+  /// lines reject a --bits outside it before anything builds a ring.
+  static constexpr int kMinBits = 1;
+  static constexpr int kMaxBits = 63;
+
+  /// Constructs a ring with 2^bits identifiers. Requires
+  /// kMinBits <= bits <= kMaxBits.
   explicit constexpr RingSpace(int bits)
       : bits_(bits), size_(std::uint64_t{1} << bits), mask_(size_ - 1) {
-    assert(bits >= 1 && bits <= 63);
+    assert(bits >= kMinBits && bits <= kMaxBits);
   }
 
   constexpr int bits() const { return bits_; }

@@ -7,10 +7,13 @@
 // bench binaries reuse the same machinery through exp::parse_scale.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace cam::runtime {
@@ -70,6 +73,28 @@ class FlagSet {
         if (!detail::parse_u64(v, &u, error)) return false;
         *target = static_cast<T>(u);
       }
+      return true;
+    });
+  }
+
+  /// Integral flags limited to [lo, hi]. The range is checked before the
+  /// value narrows to T, so a value outside it is an error, never a
+  /// wrapped or truncated number.
+  template <std::integral T>
+  void add(const std::string& name, const std::string& help, T* target,
+           T lo, T hi = std::numeric_limits<T>::max()) {
+    add_parsed(name, help, [=](const std::string& v, std::string* error) {
+      std::int64_t i = 0;
+      if (!detail::parse_i64(v, &i, error)) return false;
+      if (std::cmp_less(i, lo) || std::cmp_greater(i, hi)) {
+        *error = (hi == std::numeric_limits<T>::max()
+                      ? "must be at least " + std::to_string(lo)
+                      : "must be in [" + std::to_string(lo) + ", " +
+                            std::to_string(hi) + "]") +
+                 ", got " + v;
+        return false;
+      }
+      *target = static_cast<T>(i);
       return true;
     });
   }

@@ -240,6 +240,18 @@ TEST(Figures, ParseScaleOverrides) {
   EXPECT_EQ(s.ring_bits, 17);
 }
 
+// An empty population and ring bits outside RingSpace's range are usage
+// errors, not a crash; 2^32 + 1 must not narrow to a valid 1.
+TEST(Figures, ParseScaleRejectsEmptyPopulationAndBadBits) {
+  for (const char* bad : {"--n=0", "--bits=0", "--bits=-1", "--bits=64",
+                          "--bits=4294967297"}) {
+    const char* argv_c[] = {"bench", bad};
+    EXPECT_EXIT(parse_scale(2, const_cast<char**>(argv_c)),
+                ::testing::ExitedWithCode(2), "must be")
+        << bad;
+  }
+}
+
 TEST(Table, AlignsAndFormats) {
   Table t({"name", "value"});
   t.add_row({"alpha", fmt(1.5)});

@@ -189,7 +189,8 @@ runtime::FlagSet make_flags(Args& a) {
             strategy::registry().joined_names(),
         &a.strategy);
   f.add("n", "group size", &a.n);
-  f.add("bits", "ring identifier bits", &a.bits);
+  f.add("bits", "ring identifier bits", &a.bits, RingSpace::kMinBits,
+        RingSpace::kMaxBits);
   f.add_parsed("cap", "capacity range LO:HI (uniform population)",
                [&a](const std::string& v, std::string* error) {
                  auto colon = v.find(':');
@@ -961,6 +962,12 @@ int main(int argc, char** argv) {
       std::freopen(a.out_file.c_str(), "w", stdout) == nullptr) {
     std::fprintf(stderr, "camsim: cannot open %s\n", a.out_file.c_str());
     return 2;
+  }
+  // These three start from a member, so an empty population is an input
+  // error; the other subcommands report on an empty one.
+  if (a.n == 0 && (a.command == "lookup" || a.command == "churn" ||
+                   a.command == "stream")) {
+    usage(a.command + " needs --n of at least 1");
   }
   if (a.command == "multicast") return cmd_multicast(a);
   if (a.command == "lookup") return cmd_lookup(a);
