@@ -12,7 +12,12 @@
 // higher rate. Each grid cell is a runtime::run_cells stream cell;
 // --jobs parallelism is byte-identical to serial.
 //
-// --json emits the rows as JSON for scripts/bench.sh (BENCH_PR6.json).
+// Two gates per system, each failure one stderr line and exit 1 (stdout
+// is the same either way): uncongested, backpressure reproduces FIFO's
+// session rate and completion time exactly; at the 25% hotspot its
+// session rate beats FIFO's. --json emits the rows as JSON
+// (tests/golden/cli/abl_backpressure.txt pins them).
+#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <vector>
@@ -79,6 +84,32 @@ int main(int argc, char** argv) {
   std::vector<StreamCellResult> results =
       run_cells(cells, RunOptions{scale.jobs});
 
+  // Each system's four cells, in grid order: hotspot 1.0 fifo, 1.0
+  // backpressure, 0.25 fifo, 0.25 backpressure.
+  bool gates_ok = true;
+  for (std::size_t i = 0; i < cells.size(); i += 4) {
+    const dataplane::SessionStats& fifo = results[i].stats.session;
+    const dataplane::SessionStats& bp = results[i + 1].stats.session;
+    const double hot_fifo = results[i + 2].stats.session.session_rate_kbps;
+    const double hot_bp = results[i + 3].stats.session.session_rate_kbps;
+    const char* key = cells[i].strategy.c_str();
+    if (bp.session_rate_kbps != fifo.session_rate_kbps ||
+        bp.completion_ms != fifo.completion_ms) {
+      std::fprintf(stderr,
+                   "abl_backpressure: GATE FAILURE: %s uncongested "
+                   "backpressure diverged from FIFO\n",
+                   key);
+      gates_ok = false;
+    }
+    if (!(hot_bp > hot_fifo)) {
+      std::fprintf(stderr,
+                   "abl_backpressure: GATE FAILURE: %s backpressure %.2f "
+                   "kbps does not beat FIFO %.2f kbps at the hotspot\n",
+                   key, hot_bp, hot_fifo);
+      gates_ok = false;
+    }
+  }
+
   if (json) {
     std::cout << "{\"rows\":[";
     for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -97,7 +128,7 @@ int main(int argc, char** argv) {
                 << "}";
     }
     std::cout << "]}\n";
-    return 0;
+    return gates_ok ? 0 : 1;
   }
 
   std::cout << "# Ablation A12: backpressure vs FIFO under a hotspot uplink "
@@ -119,5 +150,5 @@ int main(int argc, char** argv) {
                fmt(r.stats.session.completion_ms, 0)});
   }
   t.print(std::cout);
-  return 0;
+  return gates_ok ? 0 : 1;
 }

@@ -16,8 +16,8 @@
 // cross-group consistency check is clean — a violation exits nonzero.
 //
 // Each cell is a runtime::run_cells session cell; --jobs parallelism is
-// byte-identical to serial. --json emits the rows for scripts/bench.sh
-// (BENCH_PR7.json).
+// byte-identical to serial. --json emits the rows
+// (tests/golden/cli/abl_manygroup.txt pins them).
 #include <cstdio>
 #include <cstring>
 #include <iostream>

@@ -6,15 +6,16 @@
 #   engine_sweep — the A3-churn-shaped macro probe (events/sec,
 #                  ns/event, allocs/event, peak RSS)
 #   micro_ops    — event-engine + flat-table microbenchmarks
-#   abl_backpressure — the data-plane hotspot grid (Ablation A12);
-#                  tracked rows go to BENCH_PR6.json
-#   abl_manygroup — the many-group session grid (Ablation A13);
-#                  tracked rows go to BENCH_PR7.json
+#   engine_scale — the sharded engine grid, n up to 1M
+#                  (BENCH_PR10.json)
+#
+# What the figure and ablation benches print is pinned separately, by
+# scripts/check_goldens.sh against tests/golden/cli/.
 #
 # Modes:
 #   scripts/bench.sh                full run; rewrites BENCH_PR5.json
 #                                   (preserving its "history" section)
-#                                   and BENCH_PR6.json (dataplane rows)
+#                                   and BENCH_PR10.json
 #   scripts/bench.sh --smoke        reduced engine_sweep run; compares
 #                                   total ns/event against the committed
 #                                   BENCH_PR5.json smoke baseline and
@@ -161,251 +162,6 @@ print(f"total: {t['events']} events, {t['ns_per_event']:.1f} ns/event, "
       f"{t['events_per_sec']:.0f} events/sec, "
       f"{t['allocs_per_event']:.3f} allocs/event, "
       f"peak RSS {doc['engine_sweep']['peak_rss_bytes']/1e6:.1f} MB")
-EOF
-
-# ---------------------------------------------------------------------
-# Data-plane phase (BENCH_PR6.json): the Ablation A12 hotspot grid.
-# The rows are deterministic in --seed (event-level simulation, not
-# wall clock), so unlike the engine numbers above they are directly
-# comparable across machines: the tracked file records the session-rate
-# win of backpressure over FIFO at a 25% hotspot uplink, and the
-# uncongested rows double as a byte-identity check between the two
-# forwarding modes.
-DP_OUT=BENCH_PR6.json
-echo "== bench: abl_backpressure (dataplane hotspot grid, n=2000) =="
-cmake --build "$BUILD" -j --target abl_backpressure >/dev/null
-DP_JSON=$($PIN "./$BUILD/bench/abl_backpressure" --json --jobs=4)
-
-python3 - "$DP_OUT" <<'EOF' "$DP_JSON"
-import json, sys
-path, rows = sys.argv[1], json.loads(sys.argv[2])["rows"]
-history = {}
-try:
-    history = json.load(open(path)).get("history", {})
-except (FileNotFoundError, json.JSONDecodeError):
-    pass
-def cell(system, hotspot, mode):
-    return next(r for r in rows if r["system"] == system
-                and r["hotspot"] == hotspot and r["mode"] == mode)
-summary = {}
-for system in sorted({r["system"] for r in rows}):
-    fifo = cell(system, 0.25, "fifo")
-    bp = cell(system, 0.25, "backpressure")
-    uf, ub = cell(system, 1.0, "fifo"), cell(system, 1.0, "backpressure")
-    summary[system] = {
-        "hotspot_fifo_kbps": fifo["session_kbps"],
-        "hotspot_backpressure_kbps": bp["session_kbps"],
-        "speedup": round(bp["session_kbps"] / fifo["session_kbps"], 3)
-            if fifo["session_kbps"] > 0 else None,
-        "delegated": bp["delegated"],
-        "uncongested_identical":
-            uf["session_kbps"] == ub["session_kbps"]
-            and uf["completion_ms"] == ub["completion_ms"],
-    }
-doc = {
-    "schema": "cam-bench-v1",
-    "generated_by": "scripts/bench.sh (release preset, abl_backpressure "
-                    "--json --jobs=4, n=2000 seed=7)",
-    "dataplane": {"rows": rows, "summary": summary},
-    "history": history,
-}
-json.dump(doc, open(path, "w"), indent=2)
-open(path, "a").write("\n")
-for system, s in summary.items():
-    print(f"{system}: hotspot fifo {s['hotspot_fifo_kbps']:.1f} kbps -> "
-          f"backpressure {s['hotspot_backpressure_kbps']:.1f} kbps "
-          f"({s['speedup']}x, {s['delegated']} delegated), "
-          f"uncongested identical: {s['uncongested_identical']}")
-    if not s["uncongested_identical"]:
-        print("bench: uncongested backpressure diverged from FIFO "
-              f"for {system} — byte-identity broken", file=sys.stderr)
-        sys.exit(1)
-print(f"bench: wrote {path}")
-EOF
-
-# ---------------------------------------------------------------------
-# Session phase (BENCH_PR7.json): the Ablation A13 many-group grid —
-# 500 zipf-sized groups over one 2000-node overlay, admitted through
-# the shared-uplink CapacityLedger and streamed concurrently through
-# the multi-group data plane. Rows are deterministic in --seed; the
-# bench itself exits nonzero if any node's summed uplink usage exceeds
-# its capacity or any group sees a duplicate delivery, so a tracked
-# file existing at all certifies the ledger invariant held.
-MG_OUT=BENCH_PR7.json
-echo "== bench: abl_manygroup (many-group session grid, n=2000) =="
-cmake --build "$BUILD" -j --target abl_manygroup >/dev/null
-MG_JSON=$($PIN "./$BUILD/bench/abl_manygroup" --json --jobs=4)
-
-python3 - "$MG_OUT" <<'EOF' "$MG_JSON"
-import json, sys
-path, rows = sys.argv[1], json.loads(sys.argv[2])["rows"]
-history = {}
-try:
-    history = json.load(open(path)).get("history", {})
-except (FileNotFoundError, json.JSONDecodeError):
-    pass
-summary = {}
-for r in rows:
-    key = f"{r['system']}/{r['mode']}"
-    summary[key] = {
-        "groups": r["groups"],
-        "streamed": r["streamed"],
-        "joins_rejected": r["joins_rejected"],
-        "goodput_kbps": r["goodput_kbps"],
-        "jain": r["jain"],
-        "p99_ms": r["p99_ms"],
-    }
-    if r["max_util"] > 1.0:
-        print(f"bench: ledger oversubscription in {key} "
-              f"(max_util={r['max_util']})", file=sys.stderr)
-        sys.exit(1)
-doc = {
-    "schema": "cam-bench-v1",
-    "generated_by": "scripts/bench.sh (release preset, abl_manygroup "
-                    "--json --jobs=4, n=2000 seed=7)",
-    "manygroup": {"rows": rows, "summary": summary},
-    "history": history,
-}
-json.dump(doc, open(path, "w"), indent=2)
-open(path, "a").write("\n")
-for key, s in summary.items():
-    print(f"{key}: {s['streamed']}/{s['groups']} groups streamed, "
-          f"goodput {s['goodput_kbps']:.1f} kbps, jain {s['jain']:.4f}, "
-          f"p99 {s['p99_ms']:.1f} ms, {s['joins_rejected']} joins rejected")
-print(f"bench: wrote {path}")
-EOF
-
-# ---------------------------------------------------------------------
-# Failover phase (BENCH_PR8.json): the Ablation A14 recovery grid —
-# oracle-announced vs detection-driven failover under regional failure
-# bursts, with a detected mid-stream crash driving dataplane gap
-# repair. Rows are deterministic in (system, arm, seed). Two tracked
-# gates, asserted here: per system, the standby arm's median
-# detect->reattach latency must beat full re-placement, and its median
-# stream delivery gap must be no worse — the whole point of holding
-# soft standby reservations.
-FO_OUT=BENCH_PR8.json
-echo "== bench: abl_failover (oracle vs detected failover, A14) =="
-cmake --build "$BUILD" -j --target abl_failover >/dev/null
-FO_JSON=$($PIN "./$BUILD/bench/abl_failover" --json --jobs=4)
-
-python3 - "$FO_OUT" <<'EOF' "$FO_JSON"
-import json, statistics, sys
-path, rows = sys.argv[1], json.loads(sys.argv[2])["rows"]
-history = {}
-try:
-    history = json.load(open(path)).get("history", {})
-except (FileNotFoundError, json.JSONDecodeError):
-    pass
-def med(system, arm, key, eligible=lambda r: True):
-    vals = [r[key] for r in rows
-            if r["system"] == system and r["arm"] == arm and eligible(r)]
-    return statistics.median(vals) if vals else 0.0
-# Latency medians only mean something over cells that actually fed the
-# reattach histogram — a burst that only hits leaves or sources
-# re-attaches nothing and would drag the median to zero.
-def rehung(r):
-    return r["reattach_samples"] > 0
-summary = {}
-ok = True
-for system in sorted({r["system"] for r in rows}):
-    s = {
-        arm: {
-            "detect_p50_ms": med(system, arm, "detect_p50_ms"),
-            "reattach_p50_ms": med(system, arm, "reattach_p50_ms",
-                                   rehung),
-            "stream_gap_p50": med(system, arm, "stream_gap_total"),
-            "dropped": sum(r["dropped"] for r in rows
-                           if r["system"] == system and r["arm"] == arm),
-        }
-        for arm in ("oracle", "detect-full", "detect-standby")
-    }
-    gate_latency = (s["detect-standby"]["reattach_p50_ms"]
-                    < s["detect-full"]["reattach_p50_ms"])
-    gate_gaps = (s["detect-standby"]["stream_gap_p50"]
-                 <= s["detect-full"]["stream_gap_p50"])
-    s["gates"] = {"standby_reattach_faster": gate_latency,
-                  "standby_gaps_no_worse": gate_gaps}
-    summary[system] = s
-    print(f"{system}: reattach p50 standby "
-          f"{s['detect-standby']['reattach_p50_ms']:.3f} ms vs full "
-          f"{s['detect-full']['reattach_p50_ms']:.3f} ms, stream gap p50 "
-          f"{s['detect-standby']['stream_gap_p50']:.1f} vs "
-          f"{s['detect-full']['stream_gap_p50']:.1f}")
-    if not (gate_latency and gate_gaps):
-        print(f"bench: FAILOVER GATE FAILED for {system} — standby must "
-              f"beat full re-placement", file=sys.stderr)
-        ok = False
-doc = {
-    "schema": "cam-bench-v1",
-    "generated_by": "scripts/bench.sh (release preset, abl_failover "
-                    "--json --jobs=4, n=128 seeds=8)",
-    "failover": {"rows": rows, "summary": summary},
-    "history": history,
-}
-json.dump(doc, open(path, "w"), indent=2)
-open(path, "a").write("\n")
-if not ok:
-    sys.exit(1)
-print(f"bench: wrote {path}")
-EOF
-
-# ---------------------------------------------------------------------
-# Strategy phase (BENCH_PR9.json): the Ablation A15 head-to-head grid —
-# all six registered strategies (CAMs, DHT baselines, and the
-# geo-coords / bounded-degree rivals) over bandwidth-derived and uniform
-# populations. Rows are deterministic in --seed. Two gates, enforced by
-# the bench's own exit status and re-checked here: the CAMs must beat
-# both rivals on provisioned throughput on the bandwidth-derived
-# population (the paper's capacity-aware provisioning claim), and the
-# seam's output must be bit-identical to the deprecated exp::System
-# enum path for the four legacy systems.
-SR_OUT=BENCH_PR9.json
-echo "== bench: abl_strategy_rivals (strategy seam head-to-head, A15) =="
-cmake --build "$BUILD" -j --target abl_strategy_rivals >/dev/null
-SR_JSON=$($PIN "./$BUILD/bench/abl_strategy_rivals" --json --jobs=4)
-
-python3 - "$SR_OUT" <<'EOF' "$SR_JSON"
-import json, sys
-path, doc_in = sys.argv[1], json.loads(sys.argv[2])
-rows, gates = doc_in["rows"], doc_in["gates"]
-history = {}
-try:
-    history = json.load(open(path)).get("history", {})
-except (FileNotFoundError, json.JSONDecodeError):
-    pass
-summary = {}
-for scen in sorted({r["scenario"] for r in rows}):
-    sr = [r for r in rows if r["scenario"] == scen]
-    cams = [r for r in sr if r["key"] in ("camchord", "camkoorde")]
-    rivals = [r for r in sr if r["key"] in ("geo-coords", "bounded-degree")]
-    summary[scen] = {
-        "cam_worst_provisioned_kbps":
-            min(r["provisioned_kbps"] for r in cams),
-        "rival_best_provisioned_kbps":
-            max(r["provisioned_kbps"] for r in rivals),
-        "capacity_violations":
-            {r["strategy"]: r["cap_violations"] for r in sr},
-        "chaos_delivery":
-            {r["strategy"]: r["chaos_delivery"] for r in sr},
-    }
-doc = {
-    "schema": "cam-bench-v1",
-    "generated_by": "scripts/bench.sh (release preset, abl_strategy_rivals "
-                    "--json --jobs=4, n=2000 seed=7)",
-    "strategy_rivals": {"rows": rows, "summary": summary, "gates": gates},
-    "history": history,
-}
-json.dump(doc, open(path, "w"), indent=2)
-open(path, "a").write("\n")
-for scen, s in summary.items():
-    print(f"{scen}: CAM worst provisioned "
-          f"{s['cam_worst_provisioned_kbps']:.1f} kbps vs rival best "
-          f"{s['rival_best_provisioned_kbps']:.1f} kbps")
-if not all(gates.values()):
-    print(f"bench: STRATEGY GATE FAILED: {gates}", file=sys.stderr)
-    sys.exit(1)
-print(f"bench: wrote {path}")
 EOF
 
 # ---------------------------------------------------------------------
