@@ -1,159 +1,34 @@
 #include "fixture.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <map>
 #include <mutex>
-#include <string>
-#include <vector>
+#include <tuple>
 
 namespace cam::benchfix {
 
 namespace {
 
-// "CAMFIX" + v2. v2 stores the population as three contiguous arrays
-// (ids, capacities, bandwidths) read/written with one fread/fwrite
-// each — the per-record loop of v1 dominated load time once the
-// engine_scale bench pushed fixtures to 200k..1M nodes. v1 files fail
-// the magic check and fall back to a rebuild, which rewrites them as v2.
-constexpr std::uint64_t kMagic = 0x43414d464958'02ULL;
+// Every field that selects a population: the spec, whether the capacity
+// is constant (cap_lo) or uniform in [cap_lo, cap_hi], and the bounds.
+using MemoKey = std::tuple<std::size_t, int, std::uint64_t, double, double,
+                           bool, std::uint32_t, std::uint32_t>;
 
-struct CacheKey {
-  workload::PopulationSpec spec;
-  std::uint32_t kind;  // 0 = uniform[cap_lo..cap_hi], 1 = constant cap_lo
-  std::uint32_t cap_lo, cap_hi;
-
-  std::uint64_t digest() const {
-    auto mix = [](std::uint64_t h, std::uint64_t v) {
-      h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-      return h;
-    };
-    std::uint64_t h = kMagic;
-    h = mix(h, spec.n);
-    h = mix(h, static_cast<std::uint64_t>(spec.ring_bits));
-    h = mix(h, spec.seed);
-    std::uint64_t bw_lo, bw_hi;
-    std::memcpy(&bw_lo, &spec.bw_lo_kbps, sizeof bw_lo);
-    std::memcpy(&bw_hi, &spec.bw_hi_kbps, sizeof bw_hi);
-    h = mix(h, bw_lo);
-    h = mix(h, bw_hi);
-    h = mix(h, kind);
-    h = mix(h, cap_lo);
-    h = mix(h, cap_hi);
-    return h;
-  }
-
-  bool operator<(const CacheKey& o) const { return digest() < o.digest(); }
-};
-
-std::filesystem::path cache_dir() {
-  if (const char* env = std::getenv("CAM_BENCH_CACHE_DIR");
-      env != nullptr && *env != '\0') {
-    return env;
-  }
-  return std::filesystem::temp_directory_path() / "cam_bench_cache";
-}
-
-std::filesystem::path cache_path(const CacheKey& key) {
-  char name[64];
-  std::snprintf(name, sizeof name, "dir-%016llx.bin",
-                static_cast<unsigned long long>(key.digest()));
-  return cache_dir() / name;
-}
-
-// On-disk layout (v2): magic, ring_bits, count, then three bulk
-// arrays — count ids, count u32 capacities, count f64 bandwidths.
-// Any read failure or shape mismatch falls back to a rebuild.
-bool load_cached(const CacheKey& key, std::vector<Id>* ids,
-                 std::vector<NodeInfo>* infos) {
-  std::FILE* f = std::fopen(cache_path(key).c_str(), "rb");
-  if (f == nullptr) return false;
-  bool ok = false;
-  std::uint64_t magic = 0, count = 0;
-  std::uint32_t bits = 0;
-  if (std::fread(&magic, sizeof magic, 1, f) == 1 && magic == kMagic &&
-      std::fread(&bits, sizeof bits, 1, f) == 1 &&
-      bits == static_cast<std::uint32_t>(key.spec.ring_bits) &&
-      std::fread(&count, sizeof count, 1, f) == 1 &&
-      count == key.spec.n && count > 0) {
-    ids->resize(count);
-    std::vector<std::uint32_t> caps(count);
-    std::vector<double> bws(count);
-    ok = std::fread(ids->data(), sizeof(Id), count, f) == count &&
-         std::fread(caps.data(), sizeof(std::uint32_t), count, f) == count &&
-         std::fread(bws.data(), sizeof(double), count, f) == count;
-    if (ok) {
-      infos->resize(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        (*infos)[i] = NodeInfo{caps[i], bws[i]};
-      }
-    }
-  }
-  std::fclose(f);
-  return ok;
-}
-
-void store_cached(const CacheKey& key, const FrozenDirectory& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(cache_dir(), ec);
-  if (ec) return;  // caching is best-effort
-  // Write to a temp name then rename, so a concurrent bench process
-  // never reads a half-written file.
-  std::filesystem::path final_path = cache_path(key);
-  std::filesystem::path tmp_path = final_path;
-  tmp_path += ".tmp";
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) return;
-  const std::uint64_t count = dir.size();
-  const auto bits = static_cast<std::uint32_t>(key.spec.ring_bits);
-  std::vector<std::uint32_t> caps(count);
-  std::vector<double> bws(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    caps[i] = dir.info_at(i).capacity;
-    bws[i] = dir.info_at(i).bandwidth_kbps;
-  }
-  bool ok = std::fwrite(&kMagic, sizeof kMagic, 1, f) == 1 &&
-            std::fwrite(&bits, sizeof bits, 1, f) == 1 &&
-            std::fwrite(&count, sizeof count, 1, f) == 1 &&
-            std::fwrite(dir.ids().data(), sizeof(Id), count, f) == count &&
-            std::fwrite(caps.data(), sizeof(std::uint32_t), count, f) ==
-                count &&
-            std::fwrite(bws.data(), sizeof(double), count, f) == count;
-  ok = std::fclose(f) == 0 && ok;
-  if (ok) {
-    std::filesystem::rename(tmp_path, final_path, ec);
-  } else {
-    std::filesystem::remove(tmp_path, ec);
-  }
-}
-
-const FrozenDirectory& shared(const CacheKey& key) {
+const FrozenDirectory& shared(const workload::PopulationSpec& spec,
+                              bool constant, std::uint32_t cap_lo,
+                              std::uint32_t cap_hi) {
   static std::mutex mu;
-  static std::map<CacheKey, FrozenDirectory>* memo =
-      new std::map<CacheKey, FrozenDirectory>();
+  static auto* memo = new std::map<MemoKey, FrozenDirectory>();
+  const MemoKey key{spec.n,          spec.ring_bits,  spec.seed,
+                    spec.bw_lo_kbps, spec.bw_hi_kbps, constant,
+                    cap_lo,          cap_hi};
   std::lock_guard<std::mutex> lock(mu);
   if (auto it = memo->find(key); it != memo->end()) return it->second;
-
-  std::vector<Id> ids;
-  std::vector<NodeInfo> infos;
-  if (load_cached(key, &ids, &infos)) {
-    auto [it, inserted] = memo->emplace(
-        key, FrozenDirectory(RingSpace(key.spec.ring_bits), std::move(ids),
-                             std::move(infos)));
-    return it->second;
-  }
   FrozenDirectory built =
-      key.kind == 0
-          ? workload::uniform_capacity_population(key.spec, key.cap_lo,
-                                                  key.cap_hi)
-                .freeze()
-          : workload::constant_capacity_population(key.spec, key.cap_lo)
+      constant
+          ? workload::constant_capacity_population(spec, cap_lo).freeze()
+          : workload::uniform_capacity_population(spec, cap_lo, cap_hi)
                 .freeze();
-  store_cached(key, built);
-  auto [it, inserted] = memo->emplace(key, std::move(built));
-  return it->second;
+  return memo->emplace(key, std::move(built)).first->second;
 }
 
 }  // namespace
@@ -161,35 +36,24 @@ const FrozenDirectory& shared(const CacheKey& key) {
 const FrozenDirectory& shared_directory(const workload::PopulationSpec& spec,
                                         std::uint32_t cap_lo,
                                         std::uint32_t cap_hi) {
-  return shared(CacheKey{spec, 0, cap_lo, cap_hi});
+  return shared(spec, false, cap_lo, cap_hi);
 }
 
 const FrozenDirectory& shared_constant_directory(
     const workload::PopulationSpec& spec, std::uint32_t cap) {
-  return shared(CacheKey{spec, 1, cap, cap});
-}
-
-const FrozenDirectory& paper_directory_20k() {
-  workload::PopulationSpec spec;
-  spec.n = 20000;
-  spec.ring_bits = 19;
-  spec.seed = 5;
-  return shared_directory(spec, 4, 10);
+  return shared(spec, true, cap, cap);
 }
 
 const FrozenDirectory& paper_directory(std::size_t n) {
-  if (n == 20000) return paper_directory_20k();  // keep the v1-era key
   workload::PopulationSpec spec;
   spec.n = n;
-  // Keep the ring at least 32x the population so random ids rarely
-  // collide; 19 bits matches the paper setup for every n <= 16k..20k.
-  int bits = 19;
-  while ((1ULL << bits) < 32ULL * n) ++bits;
-  spec.ring_bits = bits;
   spec.seed = 5;
+  // Keep the ring at least 32x the population so random ids rarely
+  // collide. n = 20k stays on the paper's 19-bit ring: the rule would
+  // give it 20 bits and change micro_ops' and engine_scale's population.
+  spec.ring_bits = 19;
+  while (n != 20000 && (1ULL << spec.ring_bits) < 32ULL * n) ++spec.ring_bits;
   return shared_directory(spec, 4, 10);
 }
-
-const FrozenDirectory& paper_directory_200k() { return paper_directory(200'000); }
 
 }  // namespace cam::benchfix

@@ -1,15 +1,11 @@
 // Shared immutable bench fixtures.
 //
-// micro_ops and the figure benches all want the same 20k-node paper
-// population, and scripts/bench.sh runs several of those binaries back
-// to back — rebuilding the directory per process puts population
-// construction, not the code under measurement, into the cold-start
-// numbers. shared_directory() memoizes per process AND caches the
-// frozen snapshot on disk (keyed by the full spec), so every bench
-// process after the first pays one bulk read instead of a rebuild.
-//
-// Cache location: $CAM_BENCH_CACHE_DIR, else <tmp>/cam_bench_cache.
-// The cache is a pure function of the spec; deleting it is always safe.
+// Several benches sweep many cells over the same population (micro_ops
+// and engine_sweep the 20k-node paper setup, the table ablations one
+// ring per capacity). shared_directory() builds each population once
+// per process and hands every caller the same frozen snapshot. Nothing
+// is read from or written to disk: every run builds its populations
+// from the current code.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +15,8 @@
 
 namespace cam::benchfix {
 
-/// Frozen uniform-capacity population, process-memoized + disk-cached.
-/// The reference stays valid for the life of the process.
+/// Frozen uniform-capacity population, built once per process. The
+/// reference stays valid for the life of the process.
 const FrozenDirectory& shared_directory(const workload::PopulationSpec& spec,
                                         std::uint32_t cap_lo,
                                         std::uint32_t cap_hi);
@@ -30,16 +26,10 @@ const FrozenDirectory& shared_directory(const workload::PopulationSpec& spec,
 const FrozenDirectory& shared_constant_directory(
     const workload::PopulationSpec& spec, std::uint32_t cap);
 
-/// The paper's Section 6 setup at the scale micro_ops sweeps:
-/// n = 20'000, 19 ring bits, capacities U[4..10], seed 5.
-const FrozenDirectory& paper_directory_20k();
-
-/// The same population family at arbitrary scale (engine_scale sweeps
-/// 20k / 200k / 1M). Ring bits grow with n to keep the id space at
-/// least 32x the population; capacities stay U[4..10], seed 5.
+/// The paper's Section 6 population family (capacities U[4..10], seed 5)
+/// at any scale: micro_ops sweeps 20k, engine_scale 20k / 200k / 1M.
+/// The ring grows with n to keep the id space at least 32x the
+/// population; 20k keeps the paper's 19 bits.
 const FrozenDirectory& paper_directory(std::size_t n);
-
-/// Shorthand for paper_directory(200'000).
-const FrozenDirectory& paper_directory_200k();
 
 }  // namespace cam::benchfix

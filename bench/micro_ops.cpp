@@ -22,7 +22,7 @@ namespace {
 
 using namespace cam;
 
-const FrozenDirectory& test_dir() { return benchfix::paper_directory_20k(); }
+const FrozenDirectory& test_dir() { return benchfix::paper_directory(20000); }
 
 void BM_LevelSeq(benchmark::State& state) {
   RingSpace ring(19);
