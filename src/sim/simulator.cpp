@@ -26,12 +26,19 @@ void Simulator::place(Event ev) {
   const std::uint64_t tk = tick_of(ev.time);
   if (tk <= cur_tick_) {
     // Lands in the slot being executed (or is clamped into it): append to
-    // the current slot and track it in the late-arrival heap. The exact
-    // (time, seq) comparison against order_ keeps the global total order.
+    // the current slot. Its seq is the largest yet, so when nothing waits
+    // in late_ and its time is no earlier than order_'s last entry it
+    // sorts last and extends order_. Otherwise the late-arrival heap
+    // tracks it, and pop_order's exact (time, seq) merge of the two keeps
+    // the global total order.
     std::vector<Event>& slot = l0_[cur_tick_ & kL0Mask];
-    late_.push_back(Order{ev.time, ev.seq,
-                          static_cast<std::uint32_t>(slot.size())});
-    std::push_heap(late_.begin(), late_.end(), Later{});
+    const Order o{ev.time, ev.seq, static_cast<std::uint32_t>(slot.size())};
+    if (late_.empty() && !order_.empty() && ev.time >= order_.back().time) {
+      order_.push_back(o);
+    } else {
+      late_.push_back(o);
+      std::push_heap(late_.begin(), late_.end(), Later{});
+    }
     slot.push_back(std::move(ev));
   } else if ((tk >> kL0Bits) == cur_chunk()) {
     l0_[tk & kL0Mask].push_back(std::move(ev));
