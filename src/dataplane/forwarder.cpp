@@ -109,9 +109,9 @@ Forwarder::Forwarder(const LatencyModel& latency,
       const auto lit = std::lower_bound(
           links.begin(), links.end(), m.node,
           [](const Link& l, std::uint32_t child) { return l.child < child; });
+      m.parent_link = static_cast<std::uint32_t>(lit - links.begin());
       g.members[m.parent].links.push_back(
-          MemberLink{static_cast<std::uint32_t>(lit - links.begin()),
-                     static_cast<std::uint32_t>(k)});
+          MemberLink{m.parent_link, static_cast<std::uint32_t>(k)});
     }
     group_index_.emplace(s.id, static_cast<std::uint32_t>(groups_.size()));
     groups_.push_back(std::move(g));
@@ -477,32 +477,40 @@ void Forwarder::handle_arrival(const Event& e) {
   --live_copies_;
 }
 
-void Forwarder::depth_report(const Event& e) {
-  if (!active()) return;  // traffic drained; stop the chain
+void Forwarder::depth_report(SimTime now) {
+  // Nothing a report or its arrival does changes active(), so one check
+  // covers every node of the tick.
+  if (!active()) return;  // traffic drained; stop the ticks
   // Depth reports run on one-group planes only, where slot i is node i.
-  const Member& m = groups_[0].members[e.node];
-  const double backlog = node_backlog_ms(e.node);
-  if (feed_) {
-    // Piggyback mode: the value travels through the external
-    // transport; the event only marks when the parent looks.
-    feed_.publish(ids_[e.node], backlog, e.time);
+  const Group& g = groups_[0];
+  for (std::uint32_t v = 0; v < nodes_.size(); ++v) {
+    if (v == g.source) continue;
+    const Member& m = g.members[v];
+    const double backlog = node_backlog_ms(v);
+    if (feed_) {
+      // Piggyback mode: the value travels through the external
+      // transport; the event only marks when the parent looks.
+      feed_.publish(ids_[v], backlog, now);
+    }
+    Event adv;
+    adv.time = now + m.parent_latency_ms;
+    adv.kind = EventKind::kDepthArrive;
+    adv.node = m.parent;
+    adv.dest = v;
+    adv.aux = std::bit_cast<std::uint64_t>(backlog);
+    push_event(adv);
   }
-  Event adv;
-  adv.time = e.time + m.parent_latency_ms;
-  adv.kind = EventKind::kDepthArrive;
-  adv.node = m.parent;
-  adv.dest = e.node;
-  adv.aux = std::bit_cast<std::uint64_t>(backlog);
-  push_event(adv);
-  Event next = e;
-  next.time = e.time + kDepthReportIntervalMs;
+  Event next;
+  next.time = now + kDepthReportIntervalMs;
+  next.kind = EventKind::kDepthReport;
   push_event(next);
 }
 
 void Forwarder::depth_arrive(const Event& e) {
   Node& n = nodes_[e.node];
-  const std::uint32_t li = find_link(n, e.dest);
-  assert(li < n.links.size() && "depth report from a non-child");
+  const std::uint32_t li = groups_[0].members[e.dest].parent_link;
+  assert(li < n.links.size() && n.links[li].child == e.dest &&
+         "depth report from a non-child");
   double value = std::bit_cast<double>(e.aux);
   if (feed_) {
     feed_.advance(e.time);
@@ -691,14 +699,10 @@ MultiGroupStats Forwarder::run(const std::vector<GroupTraffic>& traffic,
     push_event(first);
   }
   if (cfg_.backpressure) {
-    for (std::uint32_t v = 0; v < nodes_.size(); ++v) {
-      if (v == groups_[0].source) continue;
-      Event e;
-      e.time = kDepthReportIntervalMs;
-      e.kind = EventKind::kDepthReport;
-      e.node = v;
-      push_event(e);
-    }
+    Event e;
+    e.time = kDepthReportIntervalMs;
+    e.kind = EventKind::kDepthReport;
+    push_event(e);
   }
 
   // Failover surgery rides the same heap. Crashes are pushed first so a
@@ -760,7 +764,7 @@ MultiGroupStats Forwarder::run(const std::vector<GroupTraffic>& traffic,
         update_congestion(0, e.node, e.time);
         break;
       case EventKind::kDepthReport:
-        depth_report(e);
+        depth_report(e.time);
         break;
       case EventKind::kDepthArrive:
         depth_arrive(e);
@@ -892,6 +896,7 @@ void Forwarder::reattach(std::uint32_t gidx, std::uint32_t child,
   }
   pn.links.push_back(MemberLink{li, cslot});
   cn.parent = pslot;
+  cn.parent_link = li;
   cn.parent_latency_ms = latency_.latency(ids_[parent], ids_[child]);
   cn.pruned = false;
   mark_detached(g, cslot, false);

@@ -296,6 +296,7 @@ class Forwarder {
     std::uint32_t congested_children = 0;  // admission: flagged children
     std::uint32_t delivered = 0;
     std::uint32_t frozen_delivered = 0;  // delivered count at crash time
+    std::uint32_t parent_link = 0;  // its link's index in the parent's links
     bool vtx_busy = false;  // kLedgerShares transmitter
     // Per-group admission state (flags climb this group's tree).
     bool own_congested = false;
@@ -367,7 +368,7 @@ class Forwarder {
     kTxFree,          // kShared: node's transmitter finished a copy
     kVtxFree,         // kLedgerShares: member `dest`'s transmitter idle
     kDelegateArrive,  // delegated duty (pkt -> node `dest`) reaches helper
-    kDepthReport,     // periodic advertisement tick at `node`
+    kDepthReport,     // advertisement tick: every non-source node reports
     kDepthArrive,     // advertisement of child `dest` reaches parent
                       // `node` (aux = the backlog's bits)
     kFlagArrive,      // congestion flag from `node` at member slot `dest`
@@ -414,7 +415,7 @@ class Forwarder {
   void send(std::uint32_t sender, std::uint32_t gidx, const QueuedCopy& copy,
             SimTime at);
   void handle_arrival(const Event& e);
-  void depth_report(const Event& e);
+  void depth_report(SimTime now);
   void depth_arrive(const Event& e);
   void flag_arrive(const Event& e);
   void update_congestion(std::uint32_t gidx, std::uint32_t slot,
