@@ -15,6 +15,10 @@
 //   * the 1M-node cell completing at all, with peak RSS recorded,
 //     is the "million-node single run fits in RAM" acceptance probe.
 //
+// Every list entry must be a plain decimal number within its bound; an
+// empty entry, a non-number, n = 0 or a value past kMaxN / kMaxShards
+// exits 2 with usage before any population is built or thread started.
+//
 // Unlike engine_sweep's serial probe, the allocation counters here are
 // relaxed atomics: sharded cells allocate from worker threads.
 #include <algorithm>
@@ -36,6 +40,7 @@
 #include "overlay/sharded_cast.h"
 #include "runtime/flags.h"
 #include "runtime/shard_team.h"
+#include "util/num_text.h"
 #include "util/rng.h"
 
 // ---------------------------------------------------------------------
@@ -87,17 +92,34 @@ std::uint64_t peak_rss_bytes() {
   return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024ULL;
 }
 
-std::vector<std::uint64_t> parse_list(const std::string& csv) {
-  std::vector<std::uint64_t> out;
+/// Largest population. The 1M-node cell peaks at about 1.1 GB of RSS,
+/// so a run at this bound needs about 11 GB.
+constexpr std::uint64_t kMaxN = 10'000'000;
+/// Largest shard count: a cell starts one ShardTeam thread per shard
+/// past the first.
+constexpr std::uint64_t kMaxShards = 64;
+
+/// Parses the comma list `csv` of flag `name` into `out`. Every entry
+/// must be a decimal integer in [lo, hi]; an empty entry is an error.
+bool parse_list(const char* name, const std::string& csv, std::uint64_t lo,
+                std::uint64_t hi, std::vector<std::uint64_t>* out,
+                std::string* error) {
   std::size_t pos = 0;
-  while (pos < csv.size()) {
+  for (;;) {
     std::size_t comma = csv.find(',', pos);
     if (comma == std::string::npos) comma = csv.size();
-    out.push_back(std::strtoull(csv.substr(pos, comma - pos).c_str(),
-                                nullptr, 10));
+    const std::string entry = csv.substr(pos, comma - pos);
+    std::uint64_t v = 0;
+    if (!parse_unsigned(entry, v) || v < lo || v > hi) {
+      *error = std::string("--") + name + ": entry '" + entry +
+               "' is not an integer in [" + std::to_string(lo) + ", " +
+               std::to_string(hi) + "]";
+      return false;
+    }
+    out->push_back(v);
+    if (comma == csv.size()) return true;
     pos = comma + 1;
   }
-  return out;
 }
 
 Cell run_cell(const camchord::CamChordNet& overlay, const LatencyModel& lat,
@@ -147,13 +169,23 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
 
   runtime::FlagSet flags;
-  flags.add("n-list", "comma list of population sizes", &n_csv);
-  flags.add("shard-list", "comma list of shard counts (0 = hw cores)",
+  flags.add("n-list",
+            "comma list of population sizes, each in [1, " +
+                std::to_string(kMaxN) + "]",
+            &n_csv);
+  flags.add("shard-list",
+            "comma list of shard counts, each in [0, " +
+                std::to_string(kMaxShards) + "] (0 = hw cores)",
             &shard_csv);
   flags.add("sources", "multicasts per cell", &sources);
   flags.add("seed", "master seed", &seed);
   std::string error;
-  if (!flags.parse(argc, argv, 1, &error)) {
+  std::vector<std::uint64_t> n_list;
+  std::vector<std::uint64_t> shard_list;
+  if (!flags.parse(argc, argv, 1, &error) ||
+      !parse_list("n-list", n_csv, 1, kMaxN, &n_list, &error) ||
+      !parse_list("shard-list", shard_csv, 0, kMaxShards, &shard_list,
+                  &error)) {
     std::fprintf(stderr, "engine_scale: %s\nflags:\n%s", error.c_str(),
                  flags.usage().c_str());
     return 2;
@@ -161,7 +193,7 @@ int main(int argc, char** argv) {
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::vector<std::uint32_t> shard_counts;
-  for (std::uint64_t s : parse_list(shard_csv)) {
+  for (std::uint64_t s : shard_list) {
     auto v = static_cast<std::uint32_t>(s == 0 ? hw : s);
     if (std::find(shard_counts.begin(), shard_counts.end(), v) ==
         shard_counts.end()) {
@@ -171,7 +203,7 @@ int main(int argc, char** argv) {
 
   std::vector<Cell> cells;
   bool equivalence_ok = true;
-  for (std::uint64_t n64 : parse_list(n_csv)) {
+  for (std::uint64_t n64 : n_list) {
     const auto n = static_cast<std::size_t>(n64);
     const FrozenDirectory& dir = benchfix::paper_directory(n);
     const int bits = dir.ring().bits();

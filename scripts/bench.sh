@@ -50,7 +50,7 @@ if command -v taskset >/dev/null 2>&1; then PIN="taskset -c 0"; fi
 
 echo "== bench: configuring + building release preset =="
 cmake --preset release >/dev/null
-cmake --build "$BUILD" -j --target engine_sweep micro_ops >/dev/null
+cmake --build "$BUILD" -j "$(nproc)" --target engine_sweep micro_ops >/dev/null
 
 # Run engine_sweep $1 times with the remaining args; print the run with
 # the lowest total ns/event (least scheduler interference).
@@ -180,7 +180,7 @@ EOF
 # million-node-in-RAM acceptance probe.
 ES_OUT=BENCH_PR10.json
 echo "== bench: engine_scale (sharded engine, n up to 1M) =="
-cmake --build "$BUILD" -j --target engine_scale >/dev/null
+cmake --build "$BUILD" -j "$(nproc)" --target engine_scale >/dev/null
 ES_JSON=$($PIN "./$BUILD/bench/engine_scale" --sources=2 --seed=1)
 
 python3 - "$ES_OUT" <<'EOF' "$ES_JSON"

@@ -9,15 +9,15 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: RelWithDebInfo build + full test suite =="
 # Warnings are errors here, so a change that adds one fails tier-1.
 cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 echo
 echo "== tier-1: ASan+UBSan build, telemetry + protocol + dataplane + session tests =="
 cmake -B build-asan -S . -DCAM_SANITIZE=ON >/dev/null
-cmake --build build-asan -j --target cam_tests dataplane_alloc_probe
+cmake --build build-asan -j "$(nproc)" --target cam_tests dataplane_alloc_probe
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-  -R 'Telemetry|Async|HostBus|Proto|Fault|Chaos|EngineGolden|Dataplane|PacketPool|BinQueue|Session|Zipf|FlashWave|WorkloadPlan|GenerateEvents|CapacityLedger|GroupTree|Piggyback|Strategy|Shard'
+  -R 'Telemetry|Async|HostBus|Proto|Fault|Chaos|EngineGolden|SimulatorWheel|Dataplane|PacketPool|BinQueue|Session|Zipf|FlashWave|WorkloadPlan|GenerateEvents|CapacityLedger|GroupTree|Piggyback|Strategy|Shard'
 
 echo
 echo "== tier-1: ASan+UBSan 2-shard serial-equivalence smoke =="
@@ -30,7 +30,7 @@ ctest --test-dir build-asan --output-on-failure \
 
 echo
 echo "== tier-1: ASan+UBSan chaos smoke (camsim chaos) =="
-cmake --build build-asan -j --target camsim
+cmake --build build-asan -j "$(nproc)" --target camsim
 ./build-asan/tools/camsim chaos --strategy=camchord --n=12 --bits=10 --seed=7 \
   > /dev/null
 ./build-asan/tools/camsim chaos --strategy=camkoorde --n=12 --bits=10 --seed=7 \
@@ -91,7 +91,21 @@ echo "== tier-1: release preset build, warnings are errors =="
 # optimizer-only -Wrestrict), so the release tree of the library, tests
 # and benches must build warning-free too.
 cmake --preset release -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
-cmake --build build-release -j
+cmake --build build-release -j "$(nproc)"
+
+echo
+echo "== tier-1: engine_scale list flags (release preset) =="
+# A bad --n-list or --shard-list entry exits 2 with usage before any
+# population is built or thread started. Each value stays cheap even
+# without its check: a 200-node population, at most 64 worker threads.
+for args in "--n-list=0" "--n-list=abc" "--n-list=200," \
+            "--n-list=200 --shard-list=65"; do
+  status=0
+  # shellcheck disable=SC2086  # args is a flag list without spaces
+  ./build-release/bench/engine_scale $args > /dev/null 2>&1 || status=$?
+  [ "$status" -eq 2 ] ||
+    { echo "tier-1: engine_scale $args exited $status, not 2" >&2; exit 1; }
+done
 
 echo
 echo "== tier-1: goldens (release preset, byte-identical stdout) =="
@@ -112,7 +126,7 @@ echo "== tier-1: TSan parallel sweep smoke (4-job chaos sweep) =="
 # four workers. Any mutable state shared between cells (a leaked static,
 # a shared Registry) shows up here as a data race, not a flaky sweep.
 cmake -B build-tsan -S . -DCAM_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target camsim
+cmake --build build-tsan -j "$(nproc)" --target camsim
 ./build-tsan/tools/camsim chaos --strategy=camchord --n=12 --bits=10 \
   --seeds=1..4 --jobs=4 --plan-text="$CRASH_WAVE_PLAN" > /dev/null
 # Registry reads from four workers at once: a head-to-head strategy grid
@@ -124,7 +138,7 @@ cmake --build build-tsan -j --target camsim
 
 echo
 echo "== tier-1: TSan engine goldens + dataplane/session sweeps (byte-identity) =="
-cmake --build build-tsan -j --target cam_tests
+cmake --build build-tsan -j "$(nproc)" --target cam_tests
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
   -R 'EngineGolden|DataplaneSweep|DataplaneGolden|SessionSweep|DetectionModeSweep|DetectionModeRunsAreByteIdenticalToGoldens|StrategyGolden|SessionPlacementGolden'
 
