@@ -10,7 +10,9 @@
 //   * BackpressureForwarder on a CAM-Chord and a CAM-Koorde tree of 300
 //     nodes: FIFO, uncongested backpressure, a 0.25x hotspot relay (FIFO
 //     and backpressure), a deadline, admission watermarks, and depth
-//     reports over proto::DepthFeed on a lossless and a lossy HostBus;
+//     reports over proto::DepthFeed on a lossless and a lossy HostBus,
+//     for the hotspot alone and for a slow region (the hotspot and its
+//     children at 0.25x), where a lost report moves the schedule;
 //   * MultiGroupForwarder on a multi-group session, in kShared and
 //     kLedgerShares, with per-group admission, one throttled group,
 //     staggered starts and both paced and back-to-back sources, then a
@@ -159,19 +161,21 @@ std::string render(const MultiGroupStats& s) {
 constexpr std::size_t kTreeNodes = 300;
 constexpr double kLinkMs = 10.0;
 
-/// A tree with its uplink table (ascending id, the forwarder's order),
-/// intact and with its busiest non-source relay cut to 0.25x.
+/// A tree with its uplink table (ascending id, the forwarder's order):
+/// intact, with its busiest non-source relay cut to 0.25x, and with that
+/// relay and each of its children cut to 0.25x (the slow region).
 struct TreeCase {
   MulticastTree tree;
   std::vector<double> intact;
   std::vector<double> hotspot;
+  std::vector<double> slow_region;
   double analytic_kbps = 0;
 };
 
 TreeCase make_tree_case(const FrozenDirectory& dir, const char* key) {
   TreeCase c{strategy::registry().make(key).build_tree(
                  dir, dir.ids()[7], strategy::StrategyParams{}),
-             {}, {}, 0};
+             {}, {}, {}, 0};
   FlatMap<Id, std::size_t> children;
   for (const auto& [id, rec] : c.tree.entries()) {
     if (id != c.tree.source()) ++children[rec.parent];
@@ -185,13 +189,16 @@ TreeCase make_tree_case(const FrozenDirectory& dir, const char* key) {
       most = count;
     }
   }
-  std::vector<Id> ids;
-  for (const auto& [id, rec] : c.tree.entries()) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (Id id : ids) {
+  std::vector<std::pair<Id, Id>> nodes;  // (id, parent)
+  for (const auto& [id, rec] : c.tree.entries()) {
+    nodes.emplace_back(id, rec.parent);
+  }
+  std::sort(nodes.begin(), nodes.end());
+  for (const auto& [id, parent] : nodes) {
     const double kbps = dir.info(id).bandwidth_kbps;
     c.intact.push_back(kbps);
     c.hotspot.push_back(id == hot ? kbps * 0.25 : kbps);
+    c.slow_region.push_back(id == hot || parent == hot ? kbps * 0.25 : kbps);
   }
   c.analytic_kbps = tree_throughput_kbps(
       c.tree, [&dir](Id x) { return dir.info(x).bandwidth_kbps; });
@@ -245,23 +252,31 @@ FeedRun run_feed(const MulticastTree& tree, const LatencyModel& lat,
 }
 
 /// The "feed-lossless" and "feed-lossy" lines: depth reports over a
-/// lossless DepthFeed, then one that drops 30 % of the heartbeats.
+/// lossless DepthFeed, then one that drops 30 % of the heartbeats. With
+/// `loss_moves` the lossy run must differ from the lossless one in some
+/// ForwardStats field, not only in the heartbeats dropped.
 std::string feed_lines(const std::string& name, const MulticastTree& tree,
                        const LatencyModel& lat,
                        const std::vector<double>& uplinks,
-                       ForwarderConfig cfg, const TrafficSpec& traffic) {
+                       ForwarderConfig cfg, const TrafficSpec& traffic,
+                       bool loss_moves = false) {
   std::string out;
+  std::string lossless;
   for (double loss : {0.0, 0.3}) {
     const FeedRun r = run_feed(tree, lat, uplinks, cfg, traffic, loss);
+    const std::string stats = render(r.stats);
     EXPECT_GT(r.heartbeats, 0u) << name;
     EXPECT_EQ(r.stats.copies_delivered, r.stats.copies_expected) << name;
     if (loss == 0) {
       EXPECT_EQ(r.dropped, 0u) << name;
+      lossless = stats;
     } else {
       EXPECT_GT(r.dropped, 0u) << name;
+      if (loss_moves) {
+        EXPECT_NE(stats, lossless) << name;
+      }
     }
-    out += name + (loss == 0 ? " feed-lossless " : " feed-lossy ") +
-           render(r.stats) +
+    out += name + (loss == 0 ? " feed-lossless " : " feed-lossy ") + stats +
            fmt(" heartbeats=%llu dropped=%llu\n",
                static_cast<unsigned long long>(r.heartbeats),
                static_cast<unsigned long long>(r.dropped));
@@ -317,6 +332,11 @@ std::string tree_cases(const char* key, const FrozenDirectory& dir) {
   line("hotspot-admission", paused);
 
   out += feed_lines(name, c.tree, lat, c.hotspot, bp, traffic);
+  // In the slow region the hotspot's children queue too, so the backlogs
+  // they advertise are non-zero and a lost report leaves the hotspot
+  // choosing on a stale one.
+  out += feed_lines(name + " slow-region", c.tree, lat, c.slow_region, bp,
+                    traffic, /*loss_moves=*/true);
   return out;
 }
 
