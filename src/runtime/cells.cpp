@@ -36,58 +36,11 @@ PopulationRecipe PopulationRecipe::bandwidth_derived(
   return r;
 }
 
-PopulationRecipe PopulationRecipe::constant(
-    const workload::PopulationSpec& spec, std::uint32_t c) {
-  PopulationRecipe r;
-  r.model = Model::kConstant;
-  r.spec = spec;
-  r.constant_c = c;
-  return r;
-}
-
-PopulationRecipe PopulationRecipe::bimodal(
-    const workload::PopulationSpec& spec, std::uint32_t lo, std::uint32_t hi,
-    double fraction_high) {
-  PopulationRecipe r;
-  r.model = Model::kBimodal;
-  r.spec = spec;
-  r.cap_lo = lo;
-  r.cap_hi = hi;
-  r.fraction_high = fraction_high;
-  return r;
-}
-
-PopulationRecipe PopulationRecipe::zipf(const workload::PopulationSpec& spec,
-                                        std::uint32_t lo, std::uint32_t hi,
-                                        double alpha) {
-  PopulationRecipe r;
-  r.model = Model::kZipf;
-  r.spec = spec;
-  r.cap_lo = lo;
-  r.cap_hi = hi;
-  r.alpha = alpha;
-  return r;
-}
-
 FrozenDirectory PopulationRecipe::build() const {
-  switch (model) {
-    case Model::kUniform:
-      return workload::uniform_capacity_population(spec, cap_lo, cap_hi)
-          .freeze();
-    case Model::kBandwidthDerived:
-      return workload::bandwidth_derived_population(spec, per_link_kbps,
-                                                    min_cap)
-          .freeze();
-    case Model::kConstant:
-      return workload::constant_capacity_population(spec, constant_c)
-          .freeze();
-    case Model::kBimodal:
-      return workload::bimodal_capacity_population(spec, cap_lo, cap_hi,
-                                                   fraction_high)
-          .freeze();
-    case Model::kZipf:
-      return workload::zipf_capacity_population(spec, cap_lo, cap_hi, alpha)
-          .freeze();
+  if (model == Model::kBandwidthDerived) {
+    return workload::bandwidth_derived_population(spec, per_link_kbps,
+                                                  min_cap)
+        .freeze();
   }
   return workload::uniform_capacity_population(spec, cap_lo, cap_hi)
       .freeze();

@@ -2,8 +2,8 @@
 // figure benches, ablations, camsim sweeps — is some grid of
 // (population, strategy, seed) cells, each executing build-population →
 // run-multicasts → aggregate. CellSpec captures one cell declaratively;
-// run_cells() executes a whole grid on a SweepPool and returns results
-// in cell order, byte-identical for any --jobs value.
+// run_cells() executes a whole grid through map_ordered() and returns
+// results in cell order, byte-identical for any --jobs value.
 //
 // Thread-safety model (DESIGN.md §9): a cell shares NOTHING mutable.
 // Populations are either built inside the cell from the recipe, or
@@ -28,35 +28,25 @@
 
 namespace cam::runtime {
 
-/// How a cell builds its population. A recipe is a value (no directory
-/// handles), so a cell grid is cheap to describe and each cell can
-/// materialize its own world inside the worker that runs it.
+/// How a cell builds its population: the uniform or the
+/// bandwidth-derived capacity model of workload/population.h. A recipe
+/// is a value (no directory handles), so a cell grid is cheap to
+/// describe and each cell can materialize its own world inside the lane
+/// that runs it.
 struct PopulationRecipe {
-  enum class Model { kUniform, kBandwidthDerived, kConstant, kBimodal,
-                     kZipf };
+  enum class Model { kUniform, kBandwidthDerived };
 
   Model model = Model::kUniform;
   workload::PopulationSpec spec;
-  std::uint32_t cap_lo = 4, cap_hi = 10;  // kUniform / kBimodal / kZipf
+  std::uint32_t cap_lo = 4, cap_hi = 10;  // kUniform
   double per_link_kbps = 100;             // kBandwidthDerived: p
   std::uint32_t min_cap = 4;              // kBandwidthDerived clamp
-  std::uint32_t constant_c = 8;           // kConstant
-  double fraction_high = 0.1;             // kBimodal supernode share
-  double alpha = 1.0;                     // kZipf exponent
 
   static PopulationRecipe uniform(const workload::PopulationSpec& spec,
                                   std::uint32_t lo, std::uint32_t hi);
   static PopulationRecipe bandwidth_derived(
       const workload::PopulationSpec& spec, double per_link_kbps,
       std::uint32_t min_cap = 4);
-  static PopulationRecipe constant(const workload::PopulationSpec& spec,
-                                   std::uint32_t c);
-  static PopulationRecipe bimodal(const workload::PopulationSpec& spec,
-                                  std::uint32_t lo, std::uint32_t hi,
-                                  double fraction_high);
-  static PopulationRecipe zipf(const workload::PopulationSpec& spec,
-                               std::uint32_t lo, std::uint32_t hi,
-                               double alpha);
 
   FrozenDirectory build() const;
 };
@@ -111,7 +101,7 @@ struct StreamCellResult {
 };
 
 /// Executes one stream cell on the calling thread. Cells share nothing
-/// mutable, so any grid of them is safe on a SweepPool.
+/// mutable, so any grid of them is safe to run in parallel.
 StreamCellResult run_stream_cell(const StreamCellSpec& cell);
 
 /// Stream-cell grid on the same ordered-sweep machinery: results in
@@ -147,7 +137,7 @@ struct SessionCellResult {
 };
 
 /// Executes one session cell on the calling thread. Cells share nothing
-/// mutable, so any grid of them is safe on a SweepPool.
+/// mutable, so any grid of them is safe to run in parallel.
 SessionCellResult run_session_cell(const SessionCellSpec& cell);
 
 /// Session-cell grid: results in spec order for any --jobs value.
