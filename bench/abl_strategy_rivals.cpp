@@ -31,6 +31,7 @@
 #include "experiments/figures.h"
 #include "experiments/runner.h"
 #include "experiments/table.h"
+#include "runtime/sweep_pool.h"
 #include "strategy/chaos.h"
 #include "strategy/strategy.h"
 #include "workload/population.h"
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
     const char* name;
     FrozenDirectory dir;
   };
-  Scenario scenarios[] = {
+  const Scenario scenarios[] = {
       {"bw-derived p=100",
        workload::bandwidth_derived_population(spec, 100.0).freeze()},
       {"uniform[4..10]",
@@ -85,43 +86,44 @@ int main(int argc, char** argv) {
   const strategy::StrategyParams params;  // degree/table defaults: 8
 
   struct Row {
-    const char* scenario;
+    const char* scenario = nullptr;
     std::string key;
     AveragedRun run;
     std::size_t cap_violations = 0;
     double chaos_delivery = 0;
     double chaos_rebuilt = 0;
   };
-  std::vector<Row> rows;
+  // One map_ordered cell per (scenario, strategy) row, scenario-major;
+  // the cells share only the scenarios' frozen directories.
+  const std::vector<Row> rows = runtime::map_ordered(
+      std::size(scenarios) * keys.size(), scale.jobs, [&](std::size_t i) {
+        const Scenario& sc = scenarios[i / keys.size()];
+        const std::string& key = keys[i % keys.size()];
+        const auto& strat = strategy::registry().make(key);
+        Row row;
+        row.scenario = sc.name;
+        row.key = key;
+        row.run = run_sources(strat, sc.dir, scale.sources, scale.seed,
+                              params);
 
-  for (Scenario& sc : scenarios) {
-    for (const std::string& key : keys) {
-      const auto& strat = strategy::registry().make(key);
-      Row row;
-      row.scenario = sc.name;
-      row.key = key;
-      row.run = run_sources(strat, sc.dir, scale.sources, scale.seed, params,
-                            scale.jobs);
+        // Capacity violations: nodes whose tree fanout exceeds c_x, on
+        // one representative tree (the capacity-blind baselines should
+        // be the only offenders).
+        MulticastTree tree =
+            strat.build_tree(sc.dir, sc.dir.ids().front(), params);
+        for (const auto& [id, kids] : tree.children_counts()) {
+          if (kids > sc.dir.info(id).capacity) ++row.cap_violations;
+        }
 
-      // Capacity violations: nodes whose tree fanout exceeds c_x, on one
-      // representative tree (the capacity-blind baselines should be the
-      // only offenders).
-      MulticastTree tree =
-          strat.build_tree(sc.dir, sc.dir.ids().front(), params);
-      for (const auto& [id, kids] : tree.children_counts()) {
-        if (kids > sc.dir.info(id).capacity) ++row.cap_violations;
-      }
-
-      strategy::OracleChaosConfig chaos;
-      chaos.kill_fraction = 0.3;
-      chaos.seed = scale.seed ^ 0xC4A05;
-      strategy::OracleChaosReport rep = strategy::run_oracle_chaos(
-          strat, sc.dir, sc.dir.ids().front(), params, chaos);
-      row.chaos_delivery = rep.delivery_ratio;
-      row.chaos_rebuilt = rep.rebuilt_ratio;
-      rows.push_back(std::move(row));
-    }
-  }
+        strategy::OracleChaosConfig chaos;
+        chaos.kill_fraction = 0.3;
+        chaos.seed = scale.seed ^ 0xC4A05;
+        strategy::OracleChaosReport rep = strategy::run_oracle_chaos(
+            strat, sc.dir, sc.dir.ids().front(), params, chaos);
+        row.chaos_delivery = rep.delivery_ratio;
+        row.chaos_rebuilt = rep.rebuilt_ratio;
+        return row;
+      });
 
   // Gate 1 — provisioned throughput on the bandwidth-derived population:
   // every CAM beats every rival (the rivals' fixed-size tables waste the
@@ -152,7 +154,7 @@ int main(int argc, char** argv) {
   for (const char* key : paper_keys) {
     AveragedRun rerun =
         run_sources(strategy::registry().make(key), scenarios[0].dir,
-                    scale.sources, scale.seed, params, scale.jobs);
+                    scale.sources, scale.seed, params);
     const Row* seam = nullptr;
     for (const Row& r : rows) {
       if (r.key == key && std::strcmp(r.scenario, scenarios[0].name) == 0) {

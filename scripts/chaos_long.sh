@@ -65,7 +65,7 @@ at 1000 crash n=6
 at 6000 clear'
 
 # One camsim invocation per (system, repair) leg: the chaos sweep mode
-# runs a cell per seed on the parallel sweep pool and prints one line
+# runs a cell per seed on the parallel sweep lanes and prints one line
 # per seed; the per-seed lines and summary are byte-identical for any
 # JOBS value, so raising parallelism never changes what this script sees.
 fail=0

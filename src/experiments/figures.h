@@ -24,7 +24,7 @@ struct FigureScale {
   std::size_t sources = 3;  // multicast trees averaged per data point
   std::uint64_t seed = 7;
   /// Sweep parallelism: each figure data point is an independent cell
-  /// run on a runtime::SweepPool; the row order (and every byte of the
+  /// of runtime::map_ordered(); the row order (and every byte of the
   /// output) is identical for any jobs value. 0 = hardware concurrency.
   std::size_t jobs = 1;
 };

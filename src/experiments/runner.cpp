@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "runtime/sweep_pool.h"
 #include "util/rng.h"
 
 namespace cam::exp {
@@ -23,8 +22,7 @@ TreeSummary summarize(const FrozenDirectory& dir, const MulticastTree& tree,
 AveragedRun run_sources(const strategy::MulticastStrategy& strat,
                         const FrozenDirectory& dir, std::size_t num_sources,
                         std::uint64_t seed,
-                        const strategy::StrategyParams& params,
-                        std::size_t jobs) {
+                        const strategy::StrategyParams& params) {
   AveragedRun agg;
   agg.expected = dir.size();
   agg.reached = dir.size();
@@ -34,22 +32,11 @@ AveragedRun run_sources(const strategy::MulticastStrategy& strat,
   for (Id id : dir.ids()) degree_sum += strat.provisioned_links(dir, id, params);
   agg.avg_degree = degree_sum / static_cast<double>(dir.size());
 
-  // Sources are drawn serially (the rng touches nothing else), then the
-  // trees — pure functions of (dir, source, params) — run as parallel
-  // cells. The reduction below consumes summaries in source order, so
-  // the aggregate is byte-identical for every jobs value.
   Rng rng(seed);
-  std::vector<Id> sources(num_sources);
   for (std::size_t s = 0; s < num_sources; ++s) {
-    sources[s] = dir.ids()[rng.next_below(dir.size())];
-  }
-  std::vector<TreeSummary> summaries =
-      runtime::map_ordered(num_sources, jobs, [&](std::size_t s) {
-        MulticastTree tree = strat.build_tree(dir, sources[s], params);
-        return summarize(dir, tree, strat, params);
-      });
-
-  for (const TreeSummary& sum : summaries) {
+    const Id source = dir.ids()[rng.next_below(dir.size())];
+    const TreeSummary sum =
+        summarize(dir, strat.build_tree(dir, source, params), strat, params);
     agg.avg_children += sum.metrics.avg_children_nonleaf;
     agg.throughput_kbps += sum.throughput_kbps;
     agg.provisioned_kbps += sum.provisioned_kbps;

@@ -28,11 +28,10 @@ TreeSummary summarize(const FrozenDirectory& dir, const MulticastTree& tree,
                       const strategy::MulticastStrategy& strat,
                       const strategy::StrategyParams& params = {});
 
-/// Aggregates over several source nodes (uniformly sampled, seeded).
-/// With jobs > 1 the per-source trees are built concurrently on a
-/// runtime::SweepPool; the sources are pre-drawn serially from the seed
-/// and the reduction runs in source order, so the result is
-/// byte-identical to the jobs = 1 run.
+/// Aggregates over several source nodes (uniformly sampled, seeded),
+/// one tree after another on the calling thread. Parallelism lives one
+/// level up: a sweep runs whole run_sources() calls as the cells of
+/// runtime::map_ordered().
 struct AveragedRun {
   double avg_children = 0;       // mean over trees of avg children/non-leaf
   double avg_degree = 0;         // mean provisioned links per node
@@ -49,7 +48,6 @@ struct AveragedRun {
 AveragedRun run_sources(const strategy::MulticastStrategy& strat,
                         const FrozenDirectory& dir, std::size_t num_sources,
                         std::uint64_t seed,
-                        const strategy::StrategyParams& params = {},
-                        std::size_t jobs = 1);
+                        const strategy::StrategyParams& params = {});
 
 }  // namespace cam::exp

@@ -98,8 +98,9 @@ struct ChaosCell {
   FaultPlan plan;
 };
 
-/// Runs a grid of chaos cells on a runtime::SweepPool (`jobs` workers;
-/// 0 = hardware concurrency) and returns the reports in cell order.
+/// Runs a grid of chaos cells through runtime::map_ordered() (`jobs`
+/// lanes; 0 = hardware concurrency) and returns the reports in cell
+/// order.
 /// Each report — and therefore the concatenation of render() outputs —
 /// is byte-identical to a serial jobs = 1 sweep.
 std::vector<ChaosReport> run_chaos_cells(const std::vector<ChaosCell>& cells,

@@ -128,9 +128,9 @@ struct SessionChaosCell {
   workload::WorkloadPlan plan;
 };
 
-/// Runs cells on a runtime::SweepPool (0 jobs = hardware concurrency);
-/// reports — and the concatenation of their render() outputs — are
-/// byte-identical to a serial jobs = 1 sweep.
+/// Runs cells through runtime::map_ordered() (0 jobs = hardware
+/// concurrency); reports — and the concatenation of their render()
+/// outputs — are byte-identical to a serial jobs = 1 sweep.
 std::vector<SessionChaosReport> run_session_chaos_cells(
     const std::vector<SessionChaosCell>& cells, std::size_t jobs = 1);
 

@@ -1,13 +1,13 @@
 // ShardTeam: a fixed crew of persistent worker threads for the sharded
-// event engine (sim/shard_group.h).
+// event engine (sim/shard_group.h) and for cell sweeps
+// (runtime/sweep_pool.h).
 //
-// SweepPool deliberately spawns fresh threads per run() — fine for a
-// handful of long-lived parameter cells, ruinous for the sharded engine,
-// which synchronizes shards at every conservative time window (tens of
-// thousands of barriers per run). ShardTeam keeps its threads alive for
-// the lifetime of the object and reuses them across run() calls through
-// a generation-counting barrier: one mutex/cv round trip per window
-// instead of a thread spawn.
+// The sharded engine synchronizes shards at every conservative time
+// window (tens of thousands of barriers per run), so ShardTeam keeps its
+// threads alive for the lifetime of the object and reuses them across
+// run() calls through a generation-counting barrier: one mutex/cv round
+// trip per window instead of a thread spawn. A sweep makes one run()
+// call whose lanes take cells from a shared cursor.
 //
 // run(task) executes task(i) for every lane i in [0, size()); the caller
 // runs lane 0 on its own thread and the workers run lanes 1..size()-1.

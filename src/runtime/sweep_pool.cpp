@@ -1,13 +1,13 @@
 #include "runtime/sweep_pool.h"
 
+#include <algorithm>
 #include <atomic>
-#include <deque>
 #include <exception>
 #include <limits>
 #include <mutex>
 #include <thread>
 
-#include "util/rng.h"
+#include "runtime/shard_team.h"
 
 namespace cam::runtime {
 
@@ -17,78 +17,28 @@ std::size_t effective_jobs(std::size_t requested) {
   return hw == 0 ? 1 : hw;
 }
 
-SweepPool::SweepPool(std::size_t jobs) : jobs_(effective_jobs(jobs)) {}
-
-namespace {
-
-/// One worker's deque of cell indices. Own pops come from the front,
-/// steals from the back — classic Chase-Lev shape, implemented with a
-/// plain mutex: cells here are whole simulations (milliseconds to
-/// seconds each), so queue contention is noise.
-struct WorkQueue {
-  std::mutex mu;
-  std::deque<std::size_t> cells;
-
-  bool pop_front(std::size_t& out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (cells.empty()) return false;
-    out = cells.front();
-    cells.pop_front();
-    return true;
-  }
-  bool steal_back(std::size_t& out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (cells.empty()) return false;
-    out = cells.back();
-    cells.pop_back();
-    return true;
-  }
-};
-
-}  // namespace
-
-void SweepPool::run(std::size_t cells,
-                    const std::function<void(std::size_t)>& body) {
-  steals_ = 0;
-  if (cells == 0) return;
-  const std::size_t workers = std::min(jobs_, cells);
-  if (workers <= 1) {
+void for_each_cell(std::size_t cells, std::size_t jobs,
+                   const std::function<void(std::size_t)>& body) {
+  const std::size_t lanes = std::min(effective_jobs(jobs), cells);
+  if (lanes <= 1) {
     for (std::size_t i = 0; i < cells; ++i) body(i);
     return;
   }
 
-  // Round-robin seeding spreads a cost gradient (cells often get bigger
-  // with index — larger n, longer plans) across all workers up front.
-  std::vector<WorkQueue> queues(workers);
-  for (std::size_t i = 0; i < cells; ++i) {
-    queues[i % workers].cells.push_back(i);
-  }
-
+  std::atomic<std::size_t> cursor{0};
   std::atomic<bool> abort{false};
-  std::atomic<std::uint64_t> steals{0};
   std::mutex err_mu;
   std::size_t err_cell = std::numeric_limits<std::size_t>::max();
   std::exception_ptr err;
 
-  auto worker = [&](std::size_t me) {
-    // Private RNG stream for victim selection — per-worker, seeded by
-    // worker index only; cell results never observe it.
-    Rng rng(0x5EEDC0DEULL ^ me);
-    std::size_t cell = 0;
-    while (!abort.load(std::memory_order_relaxed)) {
-      bool got = queues[me].pop_front(cell);
-      if (!got) {
-        // Own queue dry: try every peer once, starting at a random
-        // victim so idle workers don't convoy on the same queue.
-        const std::size_t start = rng.next_below(workers);
-        for (std::size_t k = 0; k < workers && !got; ++k) {
-          const std::size_t victim = (start + k) % workers;
-          if (victim == me) continue;
-          got = queues[victim].steal_back(cell);
-        }
-        if (got) steals.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (!got) return;  // every queue empty: sweep complete
+  // ShardTeam::run() makes the lanes' writes (each cell's result slot)
+  // visible to the caller once it returns. A lane catches every cell
+  // exception itself: one escaping a worker thread would terminate.
+  ShardTeam team(lanes);
+  team.run([&](std::size_t) {
+    while (!abort) {
+      const std::size_t cell = cursor++;
+      if (cell >= cells) return;  // every cell handed out
       try {
         body(cell);
       } catch (...) {
@@ -97,17 +47,11 @@ void SweepPool::run(std::size_t cells,
           err_cell = cell;
           err = std::current_exception();
         }
-        abort.store(true, std::memory_order_relaxed);
+        abort = true;
         return;
       }
     }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(worker, w);
-  for (std::thread& t : threads) t.join();
-  steals_ = steals.load();
+  });
   if (err) std::rethrow_exception(err);
 }
 

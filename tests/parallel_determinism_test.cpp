@@ -76,26 +76,6 @@ TEST(ParallelDeterminism, RunCellsMatchesSerialForAnyJobs) {
   }
 }
 
-TEST(ParallelDeterminism, RunSourcesInternalJobsMatchesSerial) {
-  // run_sources itself parallelizes over sources: the per-source trees
-  // are pre-seeded serially, so the reduction must match exactly.
-  workload::PopulationSpec spec;
-  spec.n = 400;
-  spec.ring_bits = 12;
-  spec.seed = 11;
-  FrozenDirectory dir =
-      workload::uniform_capacity_population(spec, 4, 10).freeze();
-  AveragedRun serial =
-      exp::run_sources(strategy::registry().make("camchord"), dir, 6, 11, {},
-                       /*jobs=*/1);
-  for (std::size_t jobs : {std::size_t{2}, std::size_t{6}}) {
-    AveragedRun parallel =
-        exp::run_sources(strategy::registry().make("camchord"), dir, 6, 11,
-                         {}, jobs);
-    expect_identical(serial, parallel, "jobs " + std::to_string(jobs));
-  }
-}
-
 TEST(ParallelDeterminism, SharedFrozenDirectoryAcrossConcurrentCells) {
   // Many cells reading ONE prebuilt FrozenDirectory concurrently — the
   // documented safe-sharing case. Same seed => same result, and every

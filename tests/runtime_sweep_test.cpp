@@ -1,6 +1,7 @@
-// SweepPool unit tests: every cell runs exactly once, results land in
-// cell order for any jobs count, exceptions propagate (lowest cell
-// index wins), and a blocked worker provably has its cells stolen.
+// Sweep engine unit tests: every cell runs exactly once, results land in
+// cell order for any jobs count, one lane runs inline on the caller,
+// exceptions propagate (lowest cell index wins), and a blocked cell
+// provably does not stall the others.
 #include "runtime/sweep_pool.h"
 
 #include <gtest/gtest.h>
@@ -8,7 +9,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,28 +24,59 @@ TEST(EffectiveJobs, ZeroMeansHardwareConcurrency) {
   EXPECT_EQ(effective_jobs(7), 7u);
 }
 
-TEST(SweepPool, RunsEveryCellExactlyOnce) {
+TEST(ForEachCell, RunsEveryCellExactlyOnce) {
   for (std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                            std::size_t{16}}) {
     std::vector<std::atomic<int>> hits(37);
-    SweepPool pool(jobs);
-    pool.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+    for_each_cell(hits.size(), jobs,
+                  [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "cell " << i << " jobs " << jobs;
     }
   }
 }
 
-TEST(SweepPool, ZeroCellsIsANoop) {
-  SweepPool pool(4);
-  pool.run(0, [](std::size_t) { FAIL() << "no cell should run"; });
+TEST(ForEachCell, ZeroCellsIsANoop) {
+  for_each_cell(0, 4, [](std::size_t) { FAIL() << "no cell should run"; });
 }
 
-TEST(SweepPool, MoreJobsThanCellsStillRunsEachOnce) {
+TEST(ForEachCell, MoreJobsThanCellsStillRunsEachOnce) {
   std::vector<std::atomic<int>> hits(3);
-  SweepPool pool(16);
-  pool.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for_each_cell(hits.size(), 16,
+                [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ForEachCell, OneLaneRunsInlineOnTheCaller) {
+  // jobs = 1, and any jobs with a single cell, start no thread: the
+  // serial baseline runs on the calling thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
+    const std::size_t cells = jobs == 1 ? 10 : 1;
+    for_each_cell(cells, jobs, [&](std::size_t) {
+      EXPECT_EQ(std::this_thread::get_id(), caller) << "jobs " << jobs;
+    });
+  }
+}
+
+TEST(ForEachCell, BlockedCellDoesNotStallTheOthers) {
+  // Two lanes, four cells: cell 0 blocks its lane until every OTHER cell
+  // has finished, which the second lane can only do by taking cells 1, 2
+  // and 3 from the shared cursor. Deterministic: no timing assumptions,
+  // the condition variable forces the schedule even on one core.
+  std::mutex mu;
+  std::condition_variable cv;
+  int others_done = 0;
+  for_each_cell(4, 2, [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (i == 0) {
+      cv.wait(lock, [&] { return others_done == 3; });
+    } else {
+      ++others_done;
+      cv.notify_all();
+    }
+  });
+  EXPECT_EQ(others_done, 3);
 }
 
 TEST(MapOrdered, ResultsLandInCellOrderForAnyJobs) {
@@ -65,53 +96,26 @@ TEST(MapOrdered, ResultsLandInCellOrderForAnyJobs) {
 
 TEST(MapOrdered, ExceptionOfLowestFailingCellPropagates) {
   // Serial case: the lowest failing cell is simply the first reached.
-  EXPECT_THROW(map_ordered(8, 1,
-                           [](std::size_t i) -> int {
-                             if (i >= 3) throw std::runtime_error(
-                                 "cell " + std::to_string(i));
-                             return 0;
-                           }),
-               std::runtime_error);
-  // Parallel case: whatever order workers fail in, the reported error
-  // is the lowest-indexed failure (best effort, but with every cell
-  // failing it must be a failure, never a pass).
+  try {
+    map_ordered(8, 1, [](std::size_t i) -> int {
+      if (i >= 3) throw std::runtime_error("cell " + std::to_string(i));
+      return 0;
+    });
+    FAIL() << "expected a rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "cell 3");
+  }
+  // Parallel case: every cell fails. The shared cursor hands out cell 0
+  // first and a lane runs the cell it took, so cell 0 always fails, and
+  // its exception is the one rethrown whatever order the lanes fail in.
   try {
     map_ordered(16, 4, [](std::size_t i) -> int {
       throw std::runtime_error("cell " + std::to_string(i));
     });
     FAIL() << "expected a rethrow";
   } catch (const std::runtime_error& e) {
-    EXPECT_TRUE(std::string(e.what()).rfind("cell ", 0) == 0) << e.what();
+    EXPECT_STREQ(e.what(), "cell 0");
   }
-}
-
-TEST(SweepPool, SerialPoolReportsNoSteals) {
-  SweepPool pool(1);
-  pool.run(10, [](std::size_t) {});
-  EXPECT_EQ(pool.steals(), 0u);
-}
-
-TEST(SweepPool, BlockedWorkerHasItsCellsStolen) {
-  // Two workers, four cells: round-robin seeding gives worker 0 cells
-  // {0, 2} and worker 1 cells {1, 3}. Cell 0 blocks worker 0 until every
-  // OTHER cell has finished — which is only possible if worker 1 steals
-  // cell 2 from worker 0's deque. Deterministic: no timing assumptions,
-  // the condition variable forces the schedule even on one core.
-  std::mutex mu;
-  std::condition_variable cv;
-  int others_done = 0;
-
-  SweepPool pool(2);
-  pool.run(4, [&](std::size_t i) {
-    std::unique_lock<std::mutex> lock(mu);
-    if (i == 0) {
-      cv.wait(lock, [&] { return others_done == 3; });
-    } else {
-      ++others_done;
-      cv.notify_all();
-    }
-  });
-  EXPECT_GE(pool.steals(), 1u);
 }
 
 TEST(MapOrdered, MoveOnlyishResultsViaVectors) {
