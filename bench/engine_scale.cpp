@@ -17,7 +17,10 @@
 //
 // Every list entry must be a plain decimal number within its bound; an
 // empty entry, a non-number, n = 0 or a value past kMaxN / kMaxShards
-// exits 2 with usage before any population is built or thread started.
+// exits 2 with usage before any population is built or thread started,
+// and so does a --sources outside [1, kMaxSources]: a cell with no
+// multicast has signature 0 at every shard count, so the equivalence
+// gate would pass on no work.
 //
 // Unlike engine_sweep's serial probe, the allocation counters here are
 // relaxed atomics: sharded cells allocate from worker threads.
@@ -98,6 +101,9 @@ constexpr std::uint64_t kMaxN = 10'000'000;
 /// Largest shard count: a cell starts one ShardTeam thread per shard
 /// past the first.
 constexpr std::uint64_t kMaxShards = 64;
+/// Most multicasts per cell. Each one is a full sharded cast over the
+/// population: about 2.5 s at n = 1M on one core (BENCH_PR10.json).
+constexpr std::size_t kMaxSources = 1000;
 
 /// Parses the comma list `csv` of flag `name` into `out`. Every entry
 /// must be a decimal integer in [lo, hi]; an empty entry is an error.
@@ -177,7 +183,10 @@ int main(int argc, char** argv) {
             "comma list of shard counts, each in [0, " +
                 std::to_string(kMaxShards) + "] (0 = hw cores)",
             &shard_csv);
-  flags.add("sources", "multicasts per cell", &sources);
+  flags.add("sources",
+            "multicasts per cell, in [1, " + std::to_string(kMaxSources) +
+                "]",
+            &sources, std::size_t{1}, kMaxSources);
   flags.add("seed", "master seed", &seed);
   std::string error;
   std::vector<std::uint64_t> n_list;
