@@ -137,7 +137,6 @@ class SessionLayer {
 
   /// Set before any group exists; standbys are computed at join time.
   void set_failover_policy(FailoverPolicy p) { policy_ = p; }
-  const FailoverPolicy& failover_policy() const { return policy_; }
 
   /// The standby parent currently held for `node` in group `g`
   /// (kNoParent when none).

@@ -70,7 +70,6 @@ class Network {
   const telemetry::Sink& telemetry() const { return sink_; }
 
   Simulator& sim() { return sim_; }
-  const LatencyModel& latency_model() const { return latency_; }
 
  private:
   Simulator& sim_;

@@ -65,9 +65,6 @@ class Histogram {
     return count_ == 0 ? 0 : sum_ / static_cast<double>(count_);
   }
 
-  std::uint64_t bucket_count(int i) const {
-    return buckets_[static_cast<std::size_t>(i)];
-  }
   /// Inclusive upper bound of bucket i: 2^(kMinExp+i).
   static double bucket_upper(int i);
 

@@ -155,7 +155,6 @@ class Tracer {
                   EventMask mask = kAllEvents);
 
   bool wants(EventType t) const { return (mask_ & event_bit(t)) != 0; }
-  void set_mask(EventMask mask) { mask_ = mask; }
   EventMask mask() const { return mask_; }
 
   /// Appends unconditionally (callers gate on wants() so masked types

@@ -285,7 +285,6 @@ class FlatIndex {
   std::size_t rows() const { return keys_.size(); }
   bool empty() const { return keys_.empty(); }
   const std::vector<K>& keys() const { return keys_; }
-  const K& key_of(std::uint32_t row) const { return keys_[row]; }
 
   void clear() {
     keys_.clear();
