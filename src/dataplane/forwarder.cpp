@@ -515,7 +515,8 @@ void Forwarder::depth_arrive(const Event& e) {
   if (feed_) {
     feed_.advance(e.time);
     value = feed_.sample(ids_[e.node], ids_[e.dest]);
-    if (std::isnan(value)) return;  // lost in transit: keep old view
+    // Lost in transit: keep the old view and the delegation credit.
+    if (std::isnan(value)) return;
   }
   n.links[li].adv_backlog_ms = value;
   n.links[li].delegated_since_bytes = 0;

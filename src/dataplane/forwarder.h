@@ -100,8 +100,9 @@ struct ForwarderConfig {
 /// the value instead travels through a real protocol stack — publish()
 /// hands the child's fresh backlog to the transport at report time,
 /// advance() runs the transport clock forward, and sample() returns the
-/// last depth the parent has actually *received* from the child (NaN =
-/// nothing delivered yet; the parent keeps its previous view). See
+/// depth the parent has actually *received* from the child since its
+/// previous sample (NaN = no report delivered since then; the parent
+/// keeps its previous view and the bytes it has delegated since). See
 /// proto/depth_feed.h for the HostBus piggyback binding.
 struct DepthFeedHooks {
   std::function<void(Id child, double backlog_ms, SimTime now)> publish;

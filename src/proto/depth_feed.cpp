@@ -31,9 +31,9 @@ void DepthFeed::publish(Id child, double backlog_ms, SimTime now) {
   ++heartbeats_;
 }
 
-double DepthFeed::sample(Id observer, Id peer) const {
-  const auto seen = heard_.find(observer);
-  if (seen == heard_.end() || !seen->second.contains(peer)) {
+double DepthFeed::sample(Id observer, Id peer) {
+  const auto fresh = heard_.find(observer);
+  if (fresh == heard_.end() || fresh->second.erase(peer) == 0) {
     return std::numeric_limits<double>::quiet_NaN();
   }
   return bus_->advertised_depth(observer, peer);

@@ -60,13 +60,15 @@ class DepthFeed {
 
  private:
   void publish(Id child, double backlog_ms, SimTime now);
-  double sample(Id observer, Id peer) const;
+  double sample(Id observer, Id peer);
 
   HostBus* bus_;
   HeartbeatObserver* observer_ = nullptr;
   FlatMap<Id, Id> parent_of_;
-  // (parent, child) pairs with at least one delivered heartbeat — the
-  // bus cannot distinguish "never heard" from "advertised 0 ms".
+  // (parent, child) pairs with a heartbeat delivered since the parent's
+  // last sample. sample() consumes the pair, so a report whose heartbeat
+  // was lost reads NaN instead of the last backlog heard again (the bus
+  // also cannot distinguish "never heard" from "advertised 0 ms").
   FlatMap<Id, FlatSet<Id>> heard_;
   std::uint64_t heartbeats_ = 0;
 };

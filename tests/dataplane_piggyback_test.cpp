@@ -11,6 +11,7 @@
 // oracle's — so a full congested run must produce a ForwardStats that
 // matches the oracle run field for field. Under loss the views go stale
 // but the plane must still deliver everything exactly once.
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -169,6 +170,32 @@ TEST(DataplanePiggyback, LossyBusStaysCorrectJustStaler) {
   EXPECT_EQ(lossy.copies_delivered, lossy.copies_expected);
   EXPECT_EQ(lossy.session.receivers, tree.size() - 1);
   EXPECT_GT(bus.loss_drops(), 0u);
+}
+
+TEST(DataplanePiggyback, LostHeartbeatLeavesNoFreshSample) {
+  // A delivered heartbeat samples once. Reading the same report again,
+  // or reading after the next heartbeat was lost, gives NaN, so the
+  // parent keeps its view and the bytes it has delegated since instead
+  // of taking the older report as new.
+  Simulator sim;
+  const ConstantLatency latency(5.0);
+  Network net(sim, latency);
+  proto::HostBus bus(net);
+  proto::DepthFeed feed(bus);
+  const Id child = 3, parent = 8;
+  feed.register_edge(child, parent);
+  const dataplane::DepthFeedHooks hooks = feed.hooks();
+
+  hooks.publish(child, 12.5, 0.0);
+  hooks.advance(10.0);
+  EXPECT_EQ(hooks.sample(parent, child), 12.5);
+  EXPECT_TRUE(std::isnan(hooks.sample(parent, child)));
+
+  bus.set_loss(1.0, 99);
+  hooks.publish(child, 40.0, 20.0);
+  hooks.advance(30.0);
+  EXPECT_TRUE(std::isnan(hooks.sample(parent, child)));
+  EXPECT_EQ(bus.loss_drops(), 1u);
 }
 
 }  // namespace
