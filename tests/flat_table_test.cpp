@@ -1,7 +1,7 @@
-// FlatMap/FlatSet: randomized insert/erase/rehash churn against a
-// std::unordered_map oracle, plus the determinism and API guarantees the
-// protocol stack relies on (insertion-order iteration, member erase_if,
-// move-only values).
+// FlatMap/FlatSet/FlatIndex: randomized insert/erase/rehash churn
+// against std::unordered_map/set oracles, plus the determinism and API
+// guarantees the protocol stack relies on (insertion-order iteration,
+// member erase_if, move-only values, row swaps a column can replay).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -220,6 +220,54 @@ TEST(FlatSet, ChurnAgainstUnorderedSetOracle) {
   }
   for (std::uint64_t k = 0; k < 512; ++k) {
     ASSERT_EQ(s.contains(k), oracle.count(k) == 1);
+  }
+}
+
+TEST(FlatIndex, ChurnMirrorsColumnsAgainstOracle) {
+  // The column-store contract: a caller keeps a value column indexed by
+  // row and replays every erase's {erased_row, moved_row} on it.
+  using Index = FlatIndex<std::uint64_t>;
+  constexpr std::uint64_t kKeys = 512;
+  Index index;
+  std::vector<std::uint64_t> column;
+  std::unordered_map<std::uint64_t, std::uint64_t> oracle;
+  Rng rng(11);
+  for (int round = 0; round < 20'000; ++round) {
+    const std::uint64_t key = rng.next_below(kKeys);
+    const auto value = static_cast<std::uint64_t>(round);
+    if (rng.next_below(2) == 0) {
+      const auto [row, inserted] = index.insert(key);
+      ASSERT_EQ(inserted, oracle.try_emplace(key, value).second);
+      if (inserted) {
+        ASSERT_EQ(row, column.size());
+        column.push_back(value);
+      }
+      ASSERT_EQ(index.keys()[row], key);
+    } else {
+      const auto [erased, moved] = index.erase(key);
+      ASSERT_EQ(erased != Index::kNoRow, oracle.erase(key) == 1);
+      if (erased == Index::kNoRow) {
+        ASSERT_EQ(moved, Index::kNoRow);
+      } else {
+        // moved_row is the old last row, unless the erased row was last.
+        ASSERT_EQ(moved == Index::kNoRow ? erased : moved, column.size() - 1);
+        if (moved != Index::kNoRow) column[erased] = column[moved];
+        column.pop_back();
+      }
+    }
+    ASSERT_EQ(index.rows(), oracle.size());
+    ASSERT_EQ(column.size(), index.rows());
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      const std::uint32_t row = index.find(k);
+      const auto it = oracle.find(k);
+      if (it == oracle.end()) {
+        ASSERT_EQ(row, Index::kNoRow) << "round " << round << " key " << k;
+      } else {
+        ASSERT_NE(row, Index::kNoRow) << "round " << round << " key " << k;
+        ASSERT_EQ(index.keys()[row], k);
+        ASSERT_EQ(column[row], it->second);
+      }
+    }
   }
 }
 
