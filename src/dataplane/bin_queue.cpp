@@ -47,7 +47,6 @@ void BinQueue::push(std::uint64_t stream, const QueuedCopy& copy,
       stream, static_cast<std::uint32_t>(bins_.size()));
   if (inserted) {
     bins_.emplace_back();
-    bins_.back().stream_ = stream;
     if (reserved_copies_ > 0) bins_.back().reserve(reserved_copies_);
   }
   Bin& bin = bins_[it->second];

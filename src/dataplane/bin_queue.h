@@ -47,7 +47,6 @@ class Bin {
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
   std::uint64_t depth_bytes() const { return depth_bytes_; }
-  std::uint64_t stream() const { return stream_; }
 
   const QueuedCopy& front() const {
     assert(count_ > 0);
@@ -67,7 +66,6 @@ class Bin {
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   std::uint64_t depth_bytes_ = 0;
-  std::uint64_t stream_ = 0;
 };
 
 /// All bins of one outbound link, keyed by stream id.
