@@ -13,8 +13,7 @@
 //
 // Subcommands:
 //   camsim multicast  --strategy=KEY[,KEY...] (see `camsim multicast
-//                     --strategy=?` for the registry; --system is a
-//                     deprecated alias) [--n=N] [--bits=B]
+//                     --strategy=?` for the registry) [--n=N] [--bits=B]
 //                     [--cap=LO:HI | --p=KBPS] [--param=C] [--sources=K]
 //                     [--seed=S] [--histogram] [--seeds=A..B] [--jobs=N]
 //       Runs K multicasts over a converged overlay and prints tree
