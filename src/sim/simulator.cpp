@@ -5,137 +5,111 @@
 
 namespace cam {
 
-Simulator::Simulator() : l0_(kL0Slots), l1_(kL1Slots) {}
+Simulator::Simulator() : wheel_(kWheelSlots, kNil) {}
 
-void Simulator::reserve(std::size_t events_per_slot) {
-  for (auto& slot : l0_) slot.reserve(events_per_slot);
-  for (auto& slot : l1_) slot.reserve(events_per_slot);
-  order_.reserve(events_per_slot);
-  late_.reserve(events_per_slot);
-  overflow_.reserve(events_per_slot);
+void Simulator::reserve(std::size_t events) {
+  while (blocks_.size() * kBlockEvents < events) add_block();
+  order_.reserve(events);
+  late_.reserve(events);
+  later_.reserve(events);
+}
+
+void Simulator::add_block() {
+  const auto base = static_cast<std::uint32_t>(blocks_.size() * kBlockEvents);
+  blocks_.push_back(std::make_unique<Event[]>(kBlockEvents));
+  // Thread the block onto the free list back to front, so entries are
+  // handed out in ascending order.
+  Event* block = blocks_.back().get();
+  for (std::uint32_t i = kBlockEvents; i-- > 0;) {
+    block[i].next = free_;
+    free_ = base + i;
+  }
+}
+
+void Simulator::link(std::uint32_t idx, std::uint64_t tk) {
+  std::uint32_t& head = wheel_[tk & kWheelMask];
+  entry(idx).next = head;
+  head = idx;
+  ++wheel_count_;
 }
 
 void Simulator::at(SimTime t, Action fn) {
   assert(t >= now_ && "Simulator::at: scheduling in the past");
   if (t < now_) t = now_;  // clamp policy when asserts are compiled out
-  place(Event{t, next_seq_++, std::move(fn)});
+  if (free_ == kNil) add_block();
+  const std::uint32_t idx = free_;
+  Event& ev = entry(idx);
+  free_ = ev.next;
+  ev.time = t;
+  ev.seq = next_seq_++;
+  ev.fn = std::move(fn);
   ++pending_;
-}
 
-void Simulator::place(Event ev) {
-  const std::uint64_t tk = tick_of(ev.time);
+  const std::uint64_t tk = tick_of(t);
+  const Order o{t, ev.seq, idx};
   if (tk <= cur_tick_) {
-    // Lands in the slot being executed (or is clamped into it): append to
-    // the current slot. Its seq is the largest yet, so when nothing waits
-    // in late_ and its time is no earlier than order_'s last entry it
-    // sorts last and extends order_. Otherwise the late-arrival heap
-    // tracks it, and pop_order's exact (time, seq) merge of the two keeps
-    // the global total order.
-    std::vector<Event>& slot = l0_[cur_tick_ & kL0Mask];
-    const Order o{ev.time, ev.seq, static_cast<std::uint32_t>(slot.size())};
-    if (late_.empty() && !order_.empty() && ev.time >= order_.back().time) {
+    // Lands in the tick being executed (or is clamped into it). Its seq
+    // is the largest yet, so when nothing waits in late_ and its time is
+    // no earlier than order_'s last entry it sorts last and extends
+    // order_. Otherwise the late-arrival heap tracks it, and pop_order's
+    // exact (time, seq) merge of the two keeps the global total order.
+    if (late_.empty() && !order_.empty() && t >= order_.back().time) {
       order_.push_back(o);
     } else {
       late_.push_back(o);
       std::push_heap(late_.begin(), late_.end(), Later{});
     }
-    slot.push_back(std::move(ev));
-  } else if ((tk >> kL0Bits) == cur_chunk()) {
-    l0_[tk & kL0Mask].push_back(std::move(ev));
-    ++l0_count_;
-  } else if ((tk >> (kL0Bits + kL1Bits)) == cur_super()) {
-    l1_[(tk >> kL0Bits) & kL1Mask].push_back(std::move(ev));
-    ++l1_count_;
+  } else if ((tk >> kWheelBits) == cur_chunk()) {
+    link(idx, tk);
   } else {
-    overflow_.push_back(std::move(ev));
-    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+    later_.push_back(o);
+    std::push_heap(later_.begin(), later_.end(), Later{});
   }
-}
-
-void Simulator::load_order(const std::vector<Event>& slot) {
-  assert(order_.empty() && head_ == 0);
-  for (std::uint32_t i = 0; i < slot.size(); ++i) {
-    order_.push_back(Order{slot[i].time, slot[i].seq, i});
-  }
-  // Keys are unique (seq is), so the sort is a deterministic total order.
-  std::sort(order_.begin(), order_.end(), Earlier{});
-}
-
-void Simulator::finish_slot() {
-  std::vector<Event>& slot = l0_[cur_tick_ & kL0Mask];
-  assert(late_.empty());
-  slot.clear();
-  if (slot.capacity() > kReleaseCapacity) {
-    std::vector<Event>().swap(slot);
-  }
-  order_.clear();
-  head_ = 0;
 }
 
 void Simulator::ensure_current() {
   while (head_ == order_.size() && late_.empty()) {
     assert(pending_ > 0);
-    finish_slot();
-    if (l0_count_ > 0) {
-      // Next event is inside the current chunk: walk the tick cursor to
-      // the next occupied slot (bounded by the chunk size).
-      std::vector<Event>* slot;
+    order_.clear();
+    head_ = 0;
+    if (wheel_count_ == 0) {
+      // The chunk is dry: jump the cursor to the earliest later event and
+      // move its whole chunk into the wheel. The heap pops in (time, seq)
+      // order, so the new current tick's events reach order_ sorted.
+      assert(!later_.empty());
+      cur_tick_ = tick_of(later_.front().time);
+      while (!later_.empty() &&
+             (tick_of(later_.front().time) >> kWheelBits) == cur_chunk()) {
+        std::pop_heap(later_.begin(), later_.end(), Later{});
+        const Order o = later_.back();
+        later_.pop_back();
+        const std::uint64_t tk = tick_of(o.time);
+        if (tk == cur_tick_) {
+          order_.push_back(o);
+        } else {
+          link(o.idx, tk);
+        }
+      }
+    } else {
+      // The next event is inside the current chunk: walk the tick cursor
+      // to the next occupied slot (bounded by the chunk size) and sort
+      // its list into order_.
+      std::uint32_t* slot;
       do {
         ++cur_tick_;
-        slot = &l0_[cur_tick_ & kL0Mask];
-      } while (slot->empty());
-      l0_count_ -= slot->size();
-      load_order(*slot);
-      continue;
-    }
-    if (l1_count_ > 0) {
-      // Current chunk is dry: scan level 1 for the next occupied chunk
-      // and scatter it into level 0 (the hierarchical cascade).
-      std::uint64_t chunk = cur_chunk();
-      std::vector<Event>* src;
-      do {
-        ++chunk;
-        src = &l1_[chunk & kL1Mask];
-      } while (src->empty());
-      cur_tick_ = chunk << kL0Bits;
-      l1_count_ -= src->size();
-      for (Event& ev : *src) {
-        const std::uint64_t tk = tick_of(ev.time);
-        l0_[tk & kL0Mask].push_back(std::move(ev));
-        if (tk != cur_tick_) ++l0_count_;
+        slot = &wheel_[cur_tick_ & kWheelMask];
+      } while (*slot == kNil);
+      for (std::uint32_t i = *slot; i != kNil;) {
+        const Event& ev = entry(i);
+        order_.push_back(Order{ev.time, ev.seq, i});
+        i = ev.next;
       }
-      src->clear();
-      if (src->capacity() > kReleaseCapacity) {
-        std::vector<Event>().swap(*src);
-      }
-      const std::vector<Event>& slot = l0_[cur_tick_ & kL0Mask];
-      if (!slot.empty()) load_order(slot);
-      continue;  // first tick may be empty: the l0 walk takes over
+      *slot = kNil;
+      wheel_count_ -= order_.size();
+      // Keys are unique (seq is), so the sort is a deterministic total
+      // order.
+      std::sort(order_.begin(), order_.end(), Earlier{});
     }
-    // Both wheels dry: jump the cursor to the overflow's earliest event
-    // and drain that whole superchunk into the wheels.
-    assert(!overflow_.empty());
-    cur_tick_ = tick_of(overflow_.front().time);
-    const std::uint64_t super = cur_super();
-    while (!overflow_.empty() &&
-           (tick_of(overflow_.front().time) >> (kL0Bits + kL1Bits)) ==
-               super) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-      Event ev = std::move(overflow_.back());
-      overflow_.pop_back();
-      const std::uint64_t tk = tick_of(ev.time);
-      if ((tk >> kL0Bits) == cur_chunk()) {
-        l0_[tk & kL0Mask].push_back(std::move(ev));
-        if (tk != cur_tick_) ++l0_count_;
-      } else {
-        l1_[(tk >> kL0Bits) & kL1Mask].push_back(std::move(ev));
-        ++l1_count_;
-      }
-    }
-    const std::vector<Event>& slot = l0_[cur_tick_ & kL0Mask];
-    if (!slot.empty()) load_order(slot);
-    // The heap top defined cur_tick_, so its slot is non-empty and the
-    // loop exits.
   }
 }
 
@@ -170,9 +144,12 @@ bool Simulator::step() {
   if (pending_ == 0) return false;
   ensure_current();
   const Order o = pop_order();
-  // Move the action out before invoking: the handler may schedule into
-  // this very slot, and the vector could reallocate under our feet.
-  Action fn = std::move(l0_[cur_tick_ & kL0Mask][o.idx].fn);
+  // Move the action out and free its entry before invoking: the
+  // handler's at() may reuse that very entry.
+  Event& ev = entry(o.idx);
+  Action fn = std::move(ev.fn);
+  ev.next = free_;
+  free_ = o.idx;
   --pending_;
   now_ = o.time;
   ++executed_;
