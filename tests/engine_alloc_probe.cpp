@@ -2,13 +2,19 @@
 // event loop performs ZERO heap allocations per event.
 //
 // A standalone binary (not part of cam_tests) because it replaces global
-// operator new to count allocations — the workload is a saturated mix of
-// the engine's hot shapes: self-rescheduling timers with inline-sized
-// captures landing in near-future wheel slots, plus same-slot fan-out.
-// After a warm-up pass (wheel slots and the active heap grow their
-// capacity once, then retain it), the measured window must allocate
-// nothing: InlineAction keeps every capture inline and the wheel recycles
-// slot storage.
+// operator new to count allocations. Two measured phases:
+//
+//   1. A saturated mix of the engine's hot shapes: self-rescheduling
+//      timers with inline-sized captures landing in the current tick and
+//      near-future wheel slots, plus same-tick fan-out.
+//   2. The same timers plus bursts past the current chunk: every 1.5 s
+//      one more timer schedules 5,000 one-shot events 1.5 s ahead, which
+//      wait in the later-chunk heap and then fill one wheel slot.
+//
+// Each phase reserves room for its peak pending count and warms up
+// first; its measured window must then allocate nothing: InlineAction
+// keeps every capture inline, and every event takes a recycled slab entry
+// whatever slot or heap it passes through.
 //
 // Exits 0 on success, 1 with a diagnostic on any allocation per event.
 #include <cstdio>
@@ -49,12 +55,58 @@ struct Timer {
   void operator()() {
     ++*fired;
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    // 0.25ms .. ~64ms ahead: exercises the active slot, nearby L0 slots,
-    // and the L0/L1 cascade boundary.
+    // 0.25ms .. ~64ms ahead: exercises the current tick, nearby wheel
+    // slots, and the move of the next chunk into the wheel.
     const SimTime dt = 0.25 + static_cast<double>(state >> 58);
     sim->after(dt, Timer{sim, state, fired});
   }
 };
+
+constexpr int kBurst = 5'000;
+constexpr SimTime kBurstPeriod = 1'500.0;  // ms; always past the chunk
+
+// The burst source: schedules kBurst one-shot events for one instant
+// kBurstPeriod ahead, then itself again at that instant.
+struct Burst {
+  Simulator* sim;
+  std::uint64_t* fired;
+
+  void operator()() {
+    for (int i = 0; i < kBurst; ++i) {
+      sim->after(kBurstPeriod, [f = fired] { ++*f; });
+    }
+    sim->after(kBurstPeriod, Burst{sim, fired});
+  }
+};
+
+// Runs `events` events with the counting operator new armed; returns 0,
+// or 1 with a diagnostic when the window underran or allocated.
+int measure(Simulator& sim, const char* phase, std::uint64_t events,
+            const std::uint64_t& fired) {
+  g_allocs = 0;
+  g_counting = true;
+  const std::uint64_t ran = sim.run(events);
+  g_counting = false;
+
+  if (ran != events) {
+    std::fprintf(stderr, "%s: probe underran: %llu events\n", phase,
+                 static_cast<unsigned long long>(ran));
+    return 1;
+  }
+  if (g_allocs != 0) {
+    std::fprintf(stderr,
+                 "%s: steady-state event loop allocated: %llu allocations "
+                 "over %llu events (%.4f/event) — engine hot path "
+                 "regressed\n",
+                 phase, g_allocs, static_cast<unsigned long long>(ran),
+                 static_cast<double>(g_allocs) / static_cast<double>(ran));
+    return 1;
+  }
+  std::printf("ok: %s: %llu events, 0 allocations (fired=%llu)\n", phase,
+              static_cast<unsigned long long>(ran),
+              static_cast<unsigned long long>(fired));
+  return 0;
+}
 
 }  // namespace
 
@@ -63,42 +115,29 @@ int main() {
   std::uint64_t fired = 0;
 
   constexpr int kTimers = 64;
-  // Each timer has exactly one outstanding event, so a slot starts a tick
-  // with at most kTimers events; timers re-firing within the same tick
-  // append a few more before the slot clears. 4x slack bounds that while
-  // keeping every capacity below the engine's release threshold: with
-  // this reservation the loop must be *exactly* allocation-free, not
-  // just amortized-free.
+  // Each timer has exactly one outstanding event, so at most kTimers are
+  // pending and a tick starts with at most kTimers events; timers
+  // re-firing within the same tick append a few more. 4x slack bounds
+  // that: with this reservation the loop must be *exactly*
+  // allocation-free, not just amortized-free.
   sim.reserve(4 * kTimers);
   for (int i = 0; i < kTimers; ++i) {
     sim.after(0.5 + i * 0.125,
               Timer{&sim, 0x9E3779B97F4A7C15ULL * (i + 1), &fired});
   }
 
-  // Warm-up: let the wheel cursor, cascade, and overflow paths all run
-  // before the measured window opens.
+  // Warm-up: let the wheel cursor and the chunk moves run before the
+  // measured window opens.
   sim.run(200'000);
+  if (measure(sim, "timers", 500'000, fired) != 0) return 1;
 
-  g_allocs = 0;
-  g_counting = true;
-  const std::uint64_t ran = sim.run(500'000);
-  g_counting = false;
-
-  if (ran != 500'000) {
-    std::fprintf(stderr, "probe underran: %llu events\n",
-                 static_cast<unsigned long long>(ran));
-    return 1;
-  }
-  if (g_allocs != 0) {
-    std::fprintf(stderr,
-                 "steady-state event loop allocated: %llu allocations over "
-                 "%llu events (%.4f/event) — engine hot path regressed\n",
-                 g_allocs, static_cast<unsigned long long>(ran),
-                 static_cast<double>(g_allocs) / static_cast<double>(ran));
-    return 1;
-  }
-  std::printf("ok: %llu events, 0 allocations (fired=%llu)\n",
-              static_cast<unsigned long long>(ran),
-              static_cast<unsigned long long>(fired));
-  return 0;
+  // Bursts: at most one burst, the timers and the burst source are
+  // pending at once, and a burst's tick runs the burst, the source and
+  // the timers that fire in it.
+  sim.reserve(kBurst + 4 * kTimers);
+  sim.after(kBurstPeriod, Burst{&sim, &fired});
+  // Warm-up: three bursts pass through the heap and a wheel slot.
+  sim.run_until(sim.now() + 4 * kBurstPeriod);
+  // 19 bursts, each with its 1.5 s of timer events.
+  return measure(sim, "bursts", 150'000, fired);
 }
