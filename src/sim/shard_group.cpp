@@ -23,10 +23,6 @@ ShardGroup::ShardGroup(std::size_t shards, SimTime lookahead)
   counts_.resize(shards);
 }
 
-void ShardGroup::reserve(std::size_t events_per_slot) {
-  for (auto& sim : sims_) sim->reserve(events_per_slot);
-}
-
 void ShardGroup::inject_outboxes() {
   const std::size_t s_count = sims_.size();
   for (std::size_t dst = 0; dst < s_count; ++dst) {

@@ -1,6 +1,6 @@
 // ShardGroup: the partitioned discrete-event engine.
 //
-// A group of S independent Simulators (each with its own hierarchical
+// A group of S independent Simulators (each with its own event slab and
 // timer wheel) advances virtual time together through conservative,
 // barrier-synchronized windows. The synchronization rule is classic
 // lookahead (CMB-style null-message-free windowing):
@@ -76,9 +76,6 @@ class ShardGroup {
   std::size_t shards() const { return sims_.size(); }
   SimTime lookahead() const { return lookahead_; }
   Simulator& sim(std::size_t shard) { return *sims_[shard]; }
-
-  /// Forwards Simulator::reserve to every shard.
-  void reserve(std::size_t events_per_slot);
 
   /// Queues `fn` for execution at absolute time `t` on shard `dst`.
   /// Must be called from shard `src`'s lane (its simulator callbacks)
