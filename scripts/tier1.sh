@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full suite in the normal build, then the
-# telemetry, protocol and flat-table tests again under ASan+UBSan
-# (-DCAM_SANITIZE=ON), the release build's stdout goldens, the perf
-# smoke and the TSan stages.
+# event engine, telemetry, protocol, overlay and flat-table tests again
+# under ASan+UBSan (-DCAM_SANITIZE=ON), the release build's stdout
+# goldens, the perf smoke and the TSan stages.
 # Run from the repository root:  ./scripts/tier1.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,11 +14,11 @@ cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 echo
-echo "== tier-1: ASan+UBSan build, telemetry + protocol + dataplane + session + flat table tests =="
+echo "== tier-1: ASan+UBSan build, engine + telemetry + protocol + overlay + dataplane + session + flat table tests =="
 cmake -B build-asan -S . -DCAM_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$(nproc)" --target cam_tests dataplane_alloc_probe
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-  -R 'Telemetry|Async|HostBus|Proto|Fault|Chaos|EngineGolden|SimulatorWheel|Dataplane|PacketPool|BinQueue|Session|Zipf|FlashWave|WorkloadPlan|GenerateEvents|CapacityLedger|GroupTree|Piggyback|Strategy|Shard|ForEachCell|MapOrdered|ParallelDeterminism|FlatMap|FlatSet|FlatIndex'
+  -R 'Telemetry|Async|HostBus|Proto|Fault|Chaos|EngineGolden|SimulatorWheel|Dataplane|PacketPool|BinQueue|Session|Zipf|FlashWave|WorkloadPlan|GenerateEvents|CapacityLedger|GroupTree|Piggyback|Strategy|Shard|ForEachCell|MapOrdered|ParallelDeterminism|FlatMap|FlatSet|FlatIndex|Simulator|InlineAction|Network|RepairDedupe|RepairPull|RetryBackoff|DepthFeedObserver|HeartbeatSchedule|FailureDetector|CamChordNet|CamKoordeNet|RingNet|RingPartitions|Churn|MulticastTree'
 
 echo
 echo "== tier-1: ASan+UBSan 2-shard serial-equivalence smoke =="
