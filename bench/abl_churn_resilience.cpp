@@ -110,7 +110,8 @@ int main(int argc, char** argv) {
     double frac;
   };
   // The declarative (capacity × failure-fraction) grid; each cell grows
-  // its own pair of overlays on the sweep pool, rows land in grid order.
+  // its own pair of overlays on a ShardTeam lane (runtime::for_each_cell),
+  // rows land in grid order.
   std::vector<Cfg> grid;
   for (Cfg cap : {Cfg{"small[4..6]", 4, 6, 0},
                   Cfg{"large[16..24]", 16, 24, 0}}) {

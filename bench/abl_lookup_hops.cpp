@@ -25,8 +25,9 @@ int main(int argc, char** argv) {
            "ln(n)/ln(c)"});
 
   // Declarative (n × capacity) grid; each cell builds its own population
-  // and runs both systems' lookups, so the sweep pool can overlap the
-  // expensive large-n cells. Rows land in grid order for any --jobs.
+  // and runs both systems' lookups, so the ShardTeam lanes of
+  // runtime::for_each_cell can overlap the expensive large-n cells. Rows
+  // land in grid order for any --jobs.
   struct Cell {
     std::size_t n;
     std::uint32_t c;

@@ -10,9 +10,9 @@
 // handles stable for the pool's lifetime.
 //
 // reserve() pre-sizes the slab set the same way Simulator::reserve
-// pre-sizes the event wheel: a caller that knows its in-flight bound
-// reserves once and the measured window is then *exactly*
-// allocation-free, not amortized-free. tests/dataplane_alloc_probe.cpp
+// pre-sizes its event slab for a bound on pending events: a caller that
+// knows its in-flight bound reserves once and the measured window is then
+// *exactly* allocation-free, not amortized-free. tests/dataplane_alloc_probe.cpp
 // replaces global operator new to prove it (0 allocs/packet over a
 // 500k-packet steady-state churn).
 #pragma once

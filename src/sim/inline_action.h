@@ -11,8 +11,9 @@
 // drop-in: only the constant factor changes.
 //
 // Move-only by design: an event executes exactly once, and the engine
-// moves it through wheel slots; copyability would force every capture to
-// be copyable and invite accidental double-run semantics.
+// moves it into its slab entry and out again to run it; copyability
+// would force every capture to be copyable and invite accidental
+// double-run semantics.
 //
 // The inline capacity is ≥ 48 by design contract and 96 in practice, so
 // the bus delivery closure (this + from + to + proto::Message) stays

@@ -7,8 +7,8 @@
 // trip. InlineFunc<void(const Reply&), 56> stores those captures in the
 // Pending record itself — RPC steady state stops touching the heap.
 //
-// Move-only (a callable fires at most once and is moved through wheel
-// slots and flat tables), inline up to Cap bytes, transparent heap
+// Move-only (a callable fires at most once and is moved into the event
+// slab and flat tables), inline up to Cap bytes, transparent heap
 // fallback beyond so the type stays a drop-in.
 #pragma once
 
@@ -91,8 +91,8 @@ class InlineFunc<R(Args...), Cap> {
   struct Ops {
     R (*invoke)(unsigned char*, Args&&...);
     // Move-construct into `dst` from `src`, then destroy `src`. The
-    // engine relocates events between wheel slots and the active heap;
-    // fusing move + destroy halves the virtual dispatch on that path.
+    // engine relocates every action into its slab entry and out again to
+    // run it; fusing move + destroy halves the virtual dispatch there.
     void (*relocate)(unsigned char* src, unsigned char* dst);
     void (*destroy)(unsigned char*);
   };

@@ -323,10 +323,11 @@ int cmd_multicast(const Args& a) {
   const std::vector<std::string> keys = strategies_of(a);
   const strategy::StrategyParams params = params_of(a);
   if (a.sweep || keys.size() > 1) {
-    // One cell per (strategy, seed), executed on the sweep pool. With a
-    // comma list this is the head-to-head grid: same populations, same
-    // source draws, one row per cell plus a mean row per strategy. The
-    // rows and the means are identical for any --jobs value.
+    // One cell per (strategy, seed), run on the ShardTeam lanes of
+    // runtime::for_each_cell. With a comma list this is the head-to-head
+    // grid: same populations, same source draws, one row per cell plus a
+    // mean row per strategy. The rows and the means are identical for any
+    // --jobs value.
     std::vector<runtime::CellSpec> cells;
     const std::uint64_t seed_lo = a.sweep ? a.seeds.lo : a.seed;
     const std::uint64_t seed_hi = a.sweep ? a.seeds.hi : a.seed;
@@ -695,7 +696,8 @@ int cmd_chaos(const Args& a) {
     return report.ok ? 0 : 1;
   }
 
-  // Seed sweep: one full chaos world per seed, run on the sweep pool.
+  // Seed sweep: one full chaos world per seed, run on the ShardTeam
+  // lanes of runtime::for_each_cell.
   // Per-seed lines are compact (full reports would bury a violation in
   // megabytes); rerun the failing seed without --seeds for the full
   // deterministic report.
