@@ -47,7 +47,7 @@ Row run(std::size_t n, std::uint32_t c, std::uint64_t seed) {
   overlay.run_for(500);
   while (overlay.size() < n) {
     Id id = rng.next_below(ring.size());
-    if (overlay.running(id)) continue;
+    if (overlay.known(id)) continue;
     auto members = overlay.members_sorted();
     overlay.spawn(id, info(), members[rng.next_below(members.size())]);
     overlay.run_for(250);

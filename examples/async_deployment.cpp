@@ -36,7 +36,7 @@ int main() {
   overlay.run_for(1'000);
   while (overlay.size() < 80) {
     Id id = rng.next_below(ring.size());
-    if (overlay.running(id)) continue;
+    if (overlay.known(id)) continue;
     auto members = overlay.members_sorted();
     overlay.spawn(id, host(), members[rng.next_below(members.size())]);
     overlay.run_for(400);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "util/rng.h"
 
@@ -913,7 +914,7 @@ void AsyncOverlayNet::set_telemetry(telemetry::Sink sink) {
 }
 
 void AsyncOverlayNet::bootstrap(Id id, NodeInfo info) {
-  assert(!nodes_.contains(id));
+  if (known(id)) throw std::invalid_argument("bootstrap: id already known");
   auto node = factory_(*this, id, info);
   AsyncNodeBase* raw = node.get();
   nodes_.emplace(id, std::move(node));
@@ -926,7 +927,7 @@ void AsyncOverlayNet::bootstrap(Id id, NodeInfo info) {
 }
 
 void AsyncOverlayNet::spawn(Id id, NodeInfo info, Id via) {
-  assert(!nodes_.contains(id));
+  if (known(id)) throw std::invalid_argument("spawn: id already known");
   auto node = factory_(*this, id, info);
   AsyncNodeBase* raw = node.get();
   nodes_.emplace(id, std::move(node));

@@ -311,10 +311,12 @@ class AsyncOverlayNet {
   void set_telemetry(telemetry::Sink sink);
   const telemetry::Sink& telemetry() const { return tel_; }
 
-  /// Creates the first member and starts its timers.
+  /// Creates the first member and starts its timers. Throws
+  /// std::invalid_argument if `id` is known(), running or crashed.
   void bootstrap(Id id, NodeInfo info);
 
-  /// Starts a node that joins through `via` (asynchronously).
+  /// Starts a node that joins through `via` (asynchronously). Throws
+  /// std::invalid_argument if `id` is known(), running or crashed.
   void spawn(Id id, NodeInfo info, Id via);
 
   /// Crashes a node: it stops answering; peers find out via timeouts.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <vector>
 
 #include "multicast/metrics.h"
 #include "overlay/directory.h"
@@ -177,6 +179,39 @@ TEST(AsyncCamChord, JoinRetriesUntilContactAnswers) {
   fx.overlay.crash(1000);
   fx.overlay.run_for(10'000);
   EXPECT_FALSE(fx.overlay.node(2000).joined());
+}
+
+TEST(AsyncCamChord, SpawnOfAKnownIdThrows) {
+  // A reused id is refused before any node object exists: the crashed
+  // node's object stays registered (simulator closures point into it),
+  // so building a second one under its id would leave the bus handler
+  // pointing at a destroyed node.
+  Fixture fx;
+  fx.grow(20);
+  const std::vector<Id> members = fx.overlay.members_sorted();
+  const Id crashed = members[3];
+  fx.overlay.crash(crashed);
+  fx.settle(300'000);
+  ASSERT_DOUBLE_EQ(fx.overlay.ring_consistency(), 1.0);
+
+  const Id running = members[5];
+  EXPECT_THROW(fx.overlay.spawn(running, fx.info(), members[0]),
+               std::invalid_argument);
+  EXPECT_THROW(fx.overlay.spawn(crashed, fx.info(), members[0]),
+               std::invalid_argument);
+  EXPECT_THROW(fx.overlay.bootstrap(crashed, fx.info()),
+               std::invalid_argument);
+  EXPECT_EQ(fx.overlay.size(), members.size() - 1);
+  EXPECT_TRUE(fx.overlay.running(running));
+  EXPECT_FALSE(fx.overlay.running(crashed));
+
+  // The overlay still runs and reaches every running member.
+  fx.overlay.run_for(60'000);
+  const MulticastTree tree = fx.overlay.multicast(running);
+  EXPECT_EQ(tree.size(), fx.overlay.size());
+  for (Id id : fx.overlay.members_sorted()) {
+    EXPECT_TRUE(tree.entries().contains(id)) << id;
+  }
 }
 
 TEST(AsyncCamChord, TrafficIsAccountedByClass) {

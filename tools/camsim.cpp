@@ -538,7 +538,7 @@ int cmd_async(const Args& a) {
     auto members = overlay->members_sorted();
     for (std::size_t i = 0; i < batch; ++i) {
       Id id = rng.next_below(ring.size());
-      if (overlay->running(id)) continue;
+      if (overlay->known(id)) continue;
       overlay->spawn(id, info(), members[rng.next_below(members.size())]);
     }
     overlay->run_for(400);
