@@ -12,6 +12,7 @@
 // matches the oracle run field for field. Under loss the views go stale
 // but the plane must still deliver everything exactly once.
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,9 @@
 #include "sim/latency.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "telemetry/metrics.h"
+#include "telemetry/sink.h"
+#include "util/flat_table.h"
 
 namespace cam {
 namespace {
@@ -119,8 +123,9 @@ TEST(DataplanePiggyback, LosslessBusMatchesOracleFieldForField) {
 }
 
 TEST(DataplanePiggyback, AdmissionControlAlsoMatchesOracle) {
-  // Watermarked run: pauses derive from the advertised depths, so the
-  // pause count and gated time pin the transport's timing too.
+  // Watermarked run: pauses come from each member's own backlog and its
+  // children's congestion flags, not from advertised depths, so the
+  // pause count and gated time must not move with the transport.
   const MulticastTree tree = congested_tree();
   const ConstantLatency latency(5.0);
   ForwarderConfig cfg;
@@ -196,6 +201,122 @@ TEST(DataplanePiggyback, LostHeartbeatLeavesNoFreshSample) {
   hooks.advance(30.0);
   EXPECT_TRUE(std::isnan(hooks.sample(parent, child)));
   EXPECT_EQ(bus.loss_drops(), 1u);
+}
+
+/// A DepthFeed over a lossless HostBus driven by `latency`, with every
+/// edge of `tree` registered.
+struct LosslessFeed {
+  Simulator sim;
+  Network net;
+  proto::HostBus bus{net};
+  proto::DepthFeed feed{bus};
+
+  LosslessFeed(const MulticastTree& tree, const LatencyModel& latency)
+      : net(sim, latency) {
+    for (const auto& [child, rec] : tree.entries()) {
+      if (child != tree.source()) feed.register_edge(child, rec.parent);
+    }
+  }
+};
+
+/// One depth report as the forwarder published it.
+struct Report {
+  Id child = 0;
+  double backlog_ms = 0;
+  SimTime at = 0;
+};
+
+TEST(DataplanePiggyback, ReportsCarryNewsOrRefresh) {
+  // A child reports when its backlog changed, when a delegated duty
+  // landed on it, or after 200 ms (10 report ticks) of silence.
+  constexpr SimTime kRefreshMs = 200.0;
+  constexpr SimTime kTickMs = 20.0;
+  const MulticastTree tree = congested_tree();
+  const ConstantLatency latency(5.0);
+  ForwarderConfig cfg;
+  cfg.backpressure = true;
+
+  for (const double rate_kbps : {60.0, 0.0}) {
+    SCOPED_TRACE(rate_kbps);
+    LosslessFeed f(tree, latency);
+    dataplane::DepthFeedHooks hooks = f.feed.hooks();
+    std::vector<Report> reports;
+    hooks.publish = [&reports, inner = hooks.publish](
+                        Id child, double backlog_ms, SimTime now) {
+      reports.push_back({child, backlog_ms, now});
+      inner(child, backlog_ms, now);
+    };
+    BackpressureForwarder fwd(tree, latency, cfg);
+    fwd.resolve_uplinks(uplink_of);
+    fwd.set_depth_feed(hooks);
+    TrafficSpec t = traffic();
+    t.source_rate_kbps = rate_kbps;
+    const ForwardStats stats = fwd.run(t);
+    EXPECT_EQ(stats.copies_delivered, stats.copies_expected);
+    EXPECT_EQ(f.feed.heartbeats_sent(), reports.size());
+
+    // Each child's previous report, starting from the parent's initial
+    // view: 0 ms, as if reported at t = 0.
+    FlatMap<Id, Report> last;
+    for (const auto& [child, rec] : tree.entries()) {
+      if (child != tree.source()) last[child] = Report{child, 0.0, 0.0};
+    }
+    std::size_t repeats = 0;
+    for (const Report& r : reports) {
+      Report& prev = last.at(r.child);
+      if (rate_kbps > 0 && r.backlog_ms == prev.backlog_ms) {
+        // Paced, nothing delegated: a repeat is only ever the refresh.
+        EXPECT_EQ(r.at - prev.at, kRefreshMs) << r.child << " @" << r.at;
+        ++repeats;
+      }
+      EXPECT_LE(r.at - prev.at, kRefreshMs) << r.child << " @" << r.at;
+      prev = r;
+    }
+    if (rate_kbps > 0) {
+      EXPECT_EQ(stats.delegated_copies, 0u);
+      EXPECT_GT(repeats, 0u);
+      EXPECT_LT(repeats, reports.size());
+    } else {
+      EXPECT_GT(stats.delegated_copies, 0u);
+      // Ticks run every 20 ms while a copy is live: the last one is the
+      // last multiple of 20 ms before the final delivery.
+      const SimTime last_tick =
+          std::ceil(stats.session.completion_ms / kTickMs) * kTickMs - kTickMs;
+      for (const auto& [child, prev] : last) {
+        EXPECT_LE(last_tick - prev.at, kRefreshMs) << child;
+      }
+    }
+  }
+}
+
+TEST(DataplanePiggyback, RegistryCountsReportsAndDelegations) {
+  // Booking the counters at the end of the run changes nothing in it;
+  // the reports booked are the heartbeats the feed sent.
+  const MulticastTree tree = congested_tree();
+  const ConstantLatency latency(5.0);
+  ForwarderConfig cfg;
+  cfg.backpressure = true;
+
+  LosslessFeed plain(tree, latency);
+  BackpressureForwarder bare(tree, latency, cfg);
+  bare.resolve_uplinks(uplink_of);
+  bare.set_depth_feed(plain.feed.hooks());
+  const ForwardStats want = bare.run(traffic());
+
+  telemetry::Registry reg;
+  LosslessFeed f(tree, latency);
+  BackpressureForwarder fwd(tree, latency, cfg, telemetry::Sink{&reg, nullptr});
+  fwd.resolve_uplinks(uplink_of);
+  fwd.set_depth_feed(f.feed.hooks());
+  const ForwardStats got = fwd.run(traffic());
+
+  expect_same_stats(want, got);
+  EXPECT_GT(got.delegated_copies, 0u);
+  EXPECT_EQ(reg.value("dataplane.depth.reports"), f.feed.heartbeats_sent());
+  EXPECT_EQ(reg.value("dataplane.depth.reports"),
+            plain.feed.heartbeats_sent());
+  EXPECT_GT(reg.value("dataplane.depth.suppressed"), 0u);
+  EXPECT_EQ(reg.value("dataplane.delegated"), got.delegated_copies);
 }
 
 }  // namespace
