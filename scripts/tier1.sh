@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the full suite in the normal build, then the
-# event engine, telemetry, protocol, overlay and flat-table tests again
-# under ASan+UBSan (-DCAM_SANITIZE=ON), the release build's stdout
-# goldens, the perf smoke and the TSan stages.
+# Tier-1 verification: the full suite in the normal build, then the full
+# suite again under ASan+UBSan (-DCAM_SANITIZE=ON), the release build's
+# stdout goldens, the perf smoke, and the full suite under TSan.
 # Run from the repository root:  ./scripts/tier1.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,18 +13,18 @@ cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 echo
-echo "== tier-1: ASan+UBSan build, engine + telemetry + protocol + overlay + dataplane + session + flat table tests =="
+echo "== tier-1: ASan+UBSan build + full test suite =="
 cmake -B build-asan -S . -DCAM_SANITIZE=ON >/dev/null
-cmake --build build-asan -j "$(nproc)" --target cam_tests dataplane_alloc_probe
-ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-  -R 'Telemetry|Async|HostBus|Proto|Fault|Chaos|EngineGolden|SimulatorWheel|Dataplane|PacketPool|BinQueue|Session|Zipf|FlashWave|WorkloadPlan|GenerateEvents|CapacityLedger|GroupTree|Piggyback|Strategy|Shard|ForEachCell|MapOrdered|ParallelDeterminism|FlatMap|FlatSet|FlatIndex|Simulator|InlineAction|Network|RepairDedupe|RepairPull|RetryBackoff|DepthFeedObserver|HeartbeatSchedule|FailureDetector|CamChordNet|CamKoordeNet|RingNet|RingPartitions|Churn|MulticastTree'
+cmake --build build-asan -j "$(nproc)" \
+  --target cam_tests engine_alloc_probe dataplane_alloc_probe
+ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 
 echo
 echo "== tier-1: ASan+UBSan 2-shard serial-equivalence smoke =="
-# The sharded engine's determinism contract under ASan: the ShardedAsync
-# suite above already replays serial == 1-shard == 2-shard == 4-shard on
-# the full async stack; this re-runs the chord equivalence case alone so
-# a contract break fails fast with its own banner.
+# The sharded engine's determinism contract under ASan: the full suite
+# above already replays serial == 1-shard == 2-shard == 4-shard on the
+# async stack; this re-runs the chord equivalence case alone so a
+# contract break fails fast with its own banner.
 ctest --test-dir build-asan --output-on-failure \
   -R 'ShardedAsync.CamChordSerialEquivalenceAcrossShardCounts'
 
@@ -139,23 +138,13 @@ cmake --build build-tsan -j "$(nproc)" --target camsim
   --n=150 --bits=12 --seeds=1..2 --jobs=4 > /dev/null
 
 echo
-echo "== tier-1: TSan engine goldens + sweep lanes + dataplane/session sweeps (byte-identity) =="
-# ForEachCell, MapOrdered and ParallelDeterminism run cells on the
-# ShardTeam lanes of runtime/sweep_pool.h: a result slot or an error
-# record touched outside the lanes' hand-off is a TSan race here.
-cmake --build build-tsan -j "$(nproc)" --target cam_tests
-ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-  -R 'EngineGolden|DataplaneSweep|DataplaneGolden|SessionSweep|DetectionModeSweep|DetectionModeRunsAreByteIdenticalToGoldens|StrategyGolden|SessionPlacementGolden|ForEachCell|MapOrdered|ParallelDeterminism'
-
-echo
-echo "== tier-1: TSan sharded engine (cross-shard message passing) =="
-# Worker lanes + barrier hand-offs under ThreadSanitizer: the ShardGroup
-# window loop, the sharded oracle casts, and the sharded async stack all
-# push events across shard boundaries here. An outbox touched outside
-# the barrier, or any cross-lane state not separated by the generation
-# protocol, is a TSan race on this grid.
-ctest --test-dir build-tsan --output-on-failure \
-  -R 'ShardTeam|ShardGroup|ShardedCast|ShardedAsync'
+echo "== tier-1: TSan build + full test suite =="
+# Every test again under ThreadSanitizer: the sweep lanes, the ShardGroup
+# window loop and the sharded casts and async stack hand state between
+# threads, and any touch outside those hand-offs is a TSan race here.
+cmake --build build-tsan -j "$(nproc)" \
+  --target cam_tests engine_alloc_probe dataplane_alloc_probe
+ctest --test-dir build-tsan --output-on-failure -j "$(nproc)"
 
 echo
 echo "tier-1 OK"
