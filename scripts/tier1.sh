@@ -109,6 +109,24 @@ for args in "--n-list=0" "--n-list=abc" "--n-list=200," \
 done
 
 echo
+echo "== tier-1: engine_scale cross-shard signatures (release preset) =="
+# The delivered tree of each cell against a pinned signature, at every
+# shard count. A serial == sharded test alone would pass a change in how
+# a hop picks its children that moved both sides alike.
+ES_JSON=$(./build-release/bench/engine_scale --n-list=20000,200000 \
+  --shard-list=1,2,4 --sources=2 --seed=1)
+python3 - "$ES_JSON" <<'EOF'
+import json, sys
+doc = json.loads(sys.argv[1])
+want = {20000: "d6e651c2ee774373", 200000: "27125e69f9466fba"}
+bad = [c for c in doc["cells"] if want.get(c["n"]) != c["signature"]]
+seen = sorted({(c["n"], c["shards"]) for c in doc["cells"]})
+if (not doc["equivalence_ok"] or bad or
+        seen != sorted((n, s) for n in want for s in (1, 2, 4))):
+    sys.exit("tier-1: engine_scale signatures moved: %s" % doc["cells"])
+EOF
+
+echo
 echo "== tier-1: goldens (release preset, byte-identical stdout) =="
 # The paper's figures, every ablation, two camsim runs and the examples,
 # each against its file under tests/golden/cli/ (about 80 s on 4 cores).

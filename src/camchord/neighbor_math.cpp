@@ -79,7 +79,7 @@ void select_children_into(const RingSpace& ring, std::uint32_t c, Id x, Id k,
   // Lines 6-9: the j level-i neighbors preceding k, highest first.
   for (std::uint64_t m = j; m >= 1; --m) {
     Id ident = ring.add(x, m * ci);
-    out.push_back(ChildAssignment{ident, bound});
+    out.push_back(ChildAssignment{ident, bound, neighbor_slot(c, i, m)});
     bound = ring.sub(ident, 1);
   }
 
@@ -103,12 +103,14 @@ void select_children_into(const RingSpace& ring, std::uint32_t c, Id x, Id k,
     if (static_cast<double>(seq) < l) ++seq;  // ceil for non-integral l
     assert(seq >= 2 && seq <= c - 1);
     Id ident = ring.add(x, seq * cim1);
-    out.push_back(ChildAssignment{ident, bound});
+    out.push_back(
+        ChildAssignment{ident, bound, neighbor_slot(c, i - 1, seq)});
     bound = ring.sub(ident, 1);
   }
 
   // Line 15: the successor handles what remains of (x, bound].
-  out.push_back(ChildAssignment{ring.add(x, 1), bound});
+  out.push_back(
+      ChildAssignment{ring.add(x, 1), bound, neighbor_slot(c, 0, 1)});
 }
 
 }  // namespace cam::camchord

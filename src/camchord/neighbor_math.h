@@ -20,6 +20,7 @@
 // arithmetic used everywhere.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -54,13 +55,24 @@ Id neighbor_identifier(const RingSpace& ring, std::uint32_t c, Id x, int i,
 std::vector<Id> neighbor_identifiers(const RingSpace& ring, std::uint32_t c,
                                      Id x);
 
+/// Index of x_{i,j} in neighbor_identifiers(ring, c, x): i * (c-1) + j-1.
+/// Exact for every existing x_{i,j} (j * c^i <= N - 1), because each
+/// level below the top holds all c - 1 sequences (c^{i+1} <= N - 1 there)
+/// and the top level keeps a prefix j = 1, 2, ... of them. A node's
+/// table is parallel to that list, so this is where x_{i,j}'s entry sits.
+inline std::size_t neighbor_slot(std::uint32_t c, int i, std::uint64_t j) {
+  return static_cast<std::size_t>(i) * (c - 1) +
+         static_cast<std::size_t>(j - 1);
+}
+
 /// One child assignment produced by the MULTICAST split (Section 3.4):
 /// the message goes to the node responsible for `identifier`, which
 /// becomes responsible for the region (identifier - 1, bound] — i.e. the
 /// child node itself plus the segment up to `bound`.
 struct ChildAssignment {
-  Id identifier = 0;  // x_{i,m}: where the child neighbor lives
-  Id bound = 0;       // k' passed to the child's MULTICAST call
+  Id identifier = 0;     // x_{i,m}: where the child neighbor lives
+  Id bound = 0;          // k' passed to the child's MULTICAST call
+  std::size_t slot = 0;  // neighbor_slot(c, i, m): x's table entry for it
 };
 
 /// The child-selection core of x.MULTICAST(msg, k) — pseudocode lines
@@ -72,8 +84,8 @@ struct ChildAssignment {
 ///     whole region and line 15's successor would coincide with x_{0,1}),
 ///   * the successor x_{0,1}                  (line 15).
 /// Returned in selection order (descending identifier). The caller
-/// resolves each identifier and must skip assignments whose responsible
-/// node falls outside (x, bound] (an empty sub-region).
+/// resolves each identifier (by its `slot`) and must skip assignments
+/// whose responsible node falls outside (x, bound] (an empty sub-region).
 /// Precondition: k != x, c >= 2.
 std::vector<ChildAssignment> select_children(const RingSpace& ring,
                                              std::uint32_t c, Id x, Id k);

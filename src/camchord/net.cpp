@@ -1,6 +1,5 @@
 #include "camchord/net.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace cam::camchord {
@@ -88,18 +87,6 @@ std::optional<Id> CamChordNet::closest_live_entry_after(Id id) const {
   return best;
 }
 
-std::optional<Id> CamChordNet::table_resolve(Id x, Id ident) const {
-  const std::uint32_t row = row_at(x);
-  const std::vector<std::uint64_t>& offs = offsets_of(row);
-  std::uint64_t off = ring_.clockwise(x, ident);
-  auto it = std::lower_bound(offs.begin(), offs.end(), off);
-  if (it == offs.end() || *it != off) return std::nullopt;
-  Id entry = entries_arena_.begin(
-      spans_[row])[static_cast<std::size_t>(it - offs.begin())];
-  if (!alive(entry)) return std::nullopt;
-  return entry;
-}
-
 std::optional<Id> CamChordNet::best_preceding_live(Id x, Id target) const {
   std::uint64_t dt = ring_.clockwise(x, target);
   std::optional<Id> best;
@@ -135,10 +122,16 @@ LookupResult CamChordNet::lookup(Id from, Id target) const {
       res.ok = true;
       return res;
     }
-    // Lines 4-5: level and sequence number of k.
-    auto [i, j] = level_seq(ring_, st.info.capacity, x, target);
-    Id ident = neighbor_identifier(ring_, st.info.capacity, x, i, j);
-    std::optional<Id> next = table_resolve(x, ident);
+    // Lines 4-5: level and sequence number of k; x_{i,j}'s entry sits at
+    // its slot of x's table.
+    const auto [i, j] = level_seq(ring_, st.info.capacity, x, target);
+    const std::uint32_t row = row_at(x);
+    const std::size_t slot = neighbor_slot(st.info.capacity, i, j);
+    assert(slot < offsets_of(row).size() &&
+           ring_.add(x, offsets_of(row)[slot]) ==
+               neighbor_identifier(ring_, st.info.capacity, x, i, j));
+    std::optional<Id> next;
+    if (Id e = entries_arena_.begin(spans_[row])[slot]; alive(e)) next = e;
     if (next && *next != x && ring_.in_oc(target, x, *next)) {
       // Lines 6-7: the believed owner covers k. Verify with the entry's
       // own predecessor pointer (one control round-trip) before

@@ -17,6 +17,7 @@
 // handful of distinct capacities share a handful of offset vectors.
 #pragma once
 
+#include <cassert>
 #include <span>
 
 #include "camchord/neighbor_math.h"
@@ -54,18 +55,23 @@ class CamChordNet final : public RingOverlayNet {
                           Emit&& emit) const {
     const BaseState& st = base(x);
     select_children_into(ring_, st.info.capacity, x, k, scratch);
+    const std::uint32_t row = row_at(x);
+    const Id* table = entries_arena_.begin(spans_[row]);
     for (const ChildAssignment& a : scratch) {
-      std::optional<Id> child;
-      if (ring_.clockwise(x, a.identifier) == 1) {
+      assert(a.slot < offsets_of(row).size() &&
+             offsets_of(row)[a.slot] == ring_.clockwise(x, a.identifier));
+      Id child;
+      if (a.slot == 0) {
         // The successor child x_{0,1}: served from the stabilized
         // successor list so ring coverage survives table staleness.
-        Id s = live_successor(st);
-        if (s != x) child = s;
+        child = live_successor(st);
+        if (child == x) continue;
       } else {
-        child = table_resolve(x, a.identifier);
+        child = table[a.slot];
+        if (!alive(child)) continue;
       }
-      if (!child || !ring_.in_oc(*child, x, a.bound)) continue;
-      emit(*child, a.bound);
+      if (!ring_.in_oc(child, x, a.bound)) continue;
+      emit(child, a.bound);
     }
   }
 
@@ -85,9 +91,6 @@ class CamChordNet final : public RingOverlayNet {
   const std::vector<std::uint64_t>& offsets_of(std::uint32_t row) const {
     return offset_sets_[offset_set_[row]];
   }
-
-  /// Live believed owner of neighbor identifier `ident` of node `x`.
-  std::optional<Id> table_resolve(Id x, Id ident) const;
 
   /// Closest live table entry strictly inside (x, target) — fallback when
   /// the designated entry is dead.

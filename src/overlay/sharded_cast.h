@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "camchord/net.h"
@@ -90,7 +91,13 @@ class ShardedCastBase {
   ShardedCastBase(const Overlay& overlay, const LatencyModel& lat,
                   const ShardMap& map)
       : overlay_(overlay), lat_(lat), map_(map),
-        group_(map.shards, lat.min_latency()) {}
+        group_(map.shards, lat.min_latency()) {
+    // The group rounds zero shards up to one, but a zero map would leave
+    // the cast no CastShard for that one shard's hops to record into.
+    if (map.shards == 0) {
+      throw std::invalid_argument("sharded cast: ShardMap has zero shards");
+    }
+  }
 
   /// Routes a payload hop x -> ch: schedules the Derived::deliver event
   /// on ch's home shard at the link-latency arrival time.
@@ -173,8 +180,9 @@ class ShardedKoordeCast
 
 }  // namespace detail
 
-/// One sharded CAM-Chord multicast from `source`. The team's size must
-/// equal map.shards.
+/// One sharded CAM-Chord multicast from `source`. Throws
+/// std::invalid_argument when map.shards is 0 or the team's size is not
+/// map.shards.
 inline ShardedCastResult sharded_multicast(
     const camchord::CamChordNet& overlay, const LatencyModel& lat,
     Id source, const ShardMap& map, runtime::ShardTeam& team) {

@@ -1,6 +1,7 @@
 #include "proto/async_camchord.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "camchord/neighbor_math.h"
 
@@ -72,15 +73,14 @@ void AsyncCamChordNode::forward_multicast(const MulticastData& msg) {
                                  scratch_children_);
   for (const camchord::ChildAssignment& a : scratch_children_) {
     std::optional<Id> child;
-    if (ring.clockwise(self_, a.identifier) == 1) {
+    if (a.slot == 0) {
       if (auto s = successor(); s && *s != self_) child = s;
-    } else {
-      // Entry for the exact neighbor identifier (idents_ keeps the
-      // generation order of neighbor_identifiers — ascending offsets).
-      auto it = std::find(idents_.begin(), idents_.end(), a.identifier);
-      if (it != idents_.end()) {
-        child = entries_[static_cast<std::size_t>(it - idents_.begin())];
-      }
+    } else if (a.slot < idents_.size()) {
+      // Entry for the exact neighbor identifier: idents_ is
+      // neighbor_identifiers' list, so a.slot indexes it (and entries_).
+      // Both stay empty until the node joins.
+      assert(idents_[a.slot] == a.identifier);
+      child = entries_[a.slot];
     }
     if (!child || *child == self_ || !ring.in_oc(*child, self_, a.bound)) {
       continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 namespace cam {
 
@@ -66,8 +67,16 @@ bool ShardGroup::step_window(runtime::ShardTeam& team, SimTime horizon,
   return true;
 }
 
+void ShardGroup::check_team(const runtime::ShardTeam& team) const {
+  // Lane s runs shard s: a smaller team never runs the last shards (the
+  // window loop then spins forever), a larger one indexes past them.
+  if (team.size() != sims_.size()) {
+    throw std::invalid_argument("ShardGroup: team size is not the shard count");
+  }
+}
+
 std::uint64_t ShardGroup::run_until_quiet(runtime::ShardTeam& team) {
-  assert(team.size() == sims_.size());
+  check_team(team);
   std::uint64_t executed = 0;
   while (step_window(team, kInf, executed)) {
   }
@@ -76,7 +85,7 @@ std::uint64_t ShardGroup::run_until_quiet(runtime::ShardTeam& team) {
 
 std::uint64_t ShardGroup::run_until(runtime::ShardTeam& team,
                                     SimTime t_end) {
-  assert(team.size() == sims_.size());
+  check_team(team);
   std::uint64_t executed = 0;
   while (step_window(team, t_end, executed)) {
   }

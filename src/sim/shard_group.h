@@ -96,14 +96,14 @@ class ShardGroup {
     barrier_hook_ = std::move(hook);
   }
 
-  /// Runs windows on `team` (team.size() must equal shards()) until
-  /// every shard's queue and every outbox is empty. Returns events
-  /// executed.
+  /// Runs windows on `team` until every shard's queue and every outbox
+  /// is empty. Returns events executed. Throws std::invalid_argument,
+  /// before any window, unless team.size() equals shards().
   std::uint64_t run_until_quiet(runtime::ShardTeam& team);
 
   /// Runs windows until no pending event is <= t_end, then advances
   /// every shard's clock to t_end (mirrors Simulator::run_until).
-  /// Returns events executed.
+  /// Returns events executed. Rejects a team as run_until_quiet does.
   std::uint64_t run_until(runtime::ShardTeam& team, SimTime t_end);
 
   /// Sum of events executed across shards since construction.
@@ -119,6 +119,9 @@ class ShardGroup {
   struct alignas(64) Outbox {
     std::vector<Pending> items;
   };
+
+  /// Throws std::invalid_argument unless team.size() == shards().
+  void check_team(const runtime::ShardTeam& team) const;
 
   /// Drains every outbox into its destination simulator in canonical
   /// order. Caller thread only.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -201,6 +202,43 @@ TEST(CamChordMath, SelectChildrenRegionsPartition) {
     // After the last (lowest) child, everything down to x+1 is assigned.
     EXPECT_EQ(expected_bound, x);
   }
+}
+
+TEST(CamChordMath, ChildSlotsIndexTheNeighborLadder) {
+  // A node's table is parallel to neighbor_identifiers(r, c, x), and the
+  // multicast and LOOKUP hops read it at neighbor_slot(c, i, j) with no
+  // search. Check that slot against the ladder on rings of 5-24 bits,
+  // including ladders whose top level is cut short, at region sizes
+  // spread over every level.
+  Rng rng(9);
+  int cut_short = 0;
+  for (int t = 0; t < 20000; ++t) {
+    const auto bits = static_cast<int>(rng.uniform(5, 24));
+    RingSpace r(bits);
+    const auto c = static_cast<std::uint32_t>(rng.uniform(2, 40));
+    const Id x = rng.next_below(r.size());
+    const std::uint64_t span =
+        std::min(r.size() - 1, std::uint64_t{1} << rng.uniform(0, bits));
+    const Id k = r.add(x, 1 + rng.next_below(span));
+    const std::vector<Id> ladder = neighbor_identifiers(r, c, x);
+    const std::size_t full = static_cast<std::size_t>(c - 1) *
+                             static_cast<std::size_t>(num_levels(r, c));
+    cut_short += ladder.size() < full;
+
+    for (const ChildAssignment& a : select_children(r, c, x, k)) {
+      ASSERT_LT(a.slot, ladder.size())
+          << "bits=" << bits << " c=" << c << " x=" << x << " k=" << k;
+      EXPECT_EQ(ladder[a.slot], a.identifier)
+          << "bits=" << bits << " c=" << c << " x=" << x << " k=" << k;
+    }
+    const auto [i, j] = level_seq(r, c, x, k);
+    const std::size_t slot = neighbor_slot(c, i, j);
+    ASSERT_LT(slot, ladder.size())
+        << "bits=" << bits << " c=" << c << " x=" << x << " k=" << k;
+    EXPECT_EQ(ladder[slot], neighbor_identifier(r, c, x, i, j))
+        << "bits=" << bits << " c=" << c << " x=" << x << " k=" << k;
+  }
+  EXPECT_GT(cut_short, 1000);  // the prefix case is exercised, not rare
 }
 
 }  // namespace

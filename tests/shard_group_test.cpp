@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <vector>
 
 #include "runtime/shard_team.h"
@@ -93,6 +94,29 @@ TEST(ShardGroup, RunUntilAdvancesEveryClock) {
   group.sim(2).after(100.0, [&fired] { ++fired; });
   group.run_until(team, 60.0);
   EXPECT_EQ(fired, 1);
+}
+
+// Lane s runs shard s, so only a team of exactly shards() lanes can run
+// a window: a smaller one would never run the last shard, a larger one
+// would index past it. Both are rejected before anything runs.
+TEST(ShardGroup, RunOnAMismatchedTeamThrows) {
+  ShardGroup group(2, 1.0);
+  int fired = 0;
+  group.sim(0).after(1.0, [&fired] { ++fired; });
+  group.sim(1).after(2.0, [&fired] { ++fired; });
+  for (std::size_t lanes : {1u, 3u}) {
+    runtime::ShardTeam team(lanes);
+    EXPECT_THROW(group.run_until_quiet(team), std::invalid_argument)
+        << lanes << " lanes";
+    EXPECT_THROW(group.run_until(team, 10.0), std::invalid_argument)
+        << lanes << " lanes";
+  }
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(group.events_executed(), 0u);
+
+  runtime::ShardTeam team(2);
+  EXPECT_EQ(group.run_until_quiet(team), 2u);
+  EXPECT_EQ(fired, 2);
 }
 
 // Deterministic replay: an irregular cross-shard cascade produces the

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -193,6 +194,24 @@ TEST(ShardedCast, CamChordMessageCountMatchesSerial) {
     ShardedCastResult r = sharded_multicast(overlay, fx.lat, src, map, team);
     EXPECT_EQ(r.data_messages, serial_msgs) << "shards=" << shards;
   }
+}
+
+// A zero-shard map leaves the cast no per-shard state for its one group
+// shard, so it is rejected before any hop, for both CAMs.
+TEST(ShardedCast, ZeroShardMapThrows) {
+  Fixture fx;
+  camchord::CamChordNet chord(fx.ring, fx.net);
+  fx.build(chord);
+  camkoorde::CamKoordeNet koorde(fx.ring, fx.net);
+  fx.build(koorde);
+  const ShardMap map{kBits, 0};
+  runtime::ShardTeam team(1);
+  EXPECT_THROW(sharded_multicast(chord, fx.lat,
+                                 chord.members_sorted().front(), map, team),
+               std::invalid_argument);
+  EXPECT_THROW(sharded_multicast(koorde, fx.lat,
+                                 koorde.members_sorted().front(), map, team),
+               std::invalid_argument);
 }
 
 }  // namespace
